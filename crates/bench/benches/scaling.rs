@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lalr_automata::Lr0Automaton;
 use lalr_bench::methods::Method;
-use lalr_core::{LalrAnalysis, Parallelism};
+use lalr_core::LalrAnalysis;
 use lalr_corpus::synthetic;
 
 fn bench_ladder(c: &mut Criterion) {
@@ -70,13 +70,10 @@ fn bench_chain(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_pipeline(c: &mut Criterion) {
+fn bench_pipeline(c: &mut Criterion) {
     // The full DP pipeline (relation build + both Digraph runs + LA
-    // union), sequential vs the sharded/level-scheduled path at 2 and 4
-    // threads, on the largest synthetic grammars. Speedup here is bounded
-    // by the hardware's core count — record the host's
-    // `available_parallelism` alongside the numbers (EXPERIMENTS.md E10).
-    let mut group = c.benchmark_group("scaling_parallel_pipeline");
+    // union) on the largest synthetic grammars.
+    let mut group = c.benchmark_group("scaling_pipeline");
     group.sample_size(20);
     group.measurement_time(std::time::Duration::from_secs(3));
     group.warm_up_time(std::time::Duration::from_millis(500));
@@ -92,14 +89,6 @@ fn bench_parallel_pipeline(c: &mut Criterion) {
             &(grammar, &lr0),
             |b, (g, lr0)| b.iter(|| LalrAnalysis::compute(g, lr0)),
         );
-        for threads in [2usize, 4] {
-            let par = Parallelism::new(threads);
-            group.bench_with_input(
-                BenchmarkId::new(format!("parallel_t{threads}"), name),
-                &(grammar, &lr0),
-                |b, (g, lr0)| b.iter(|| LalrAnalysis::compute_with(g, lr0, &par)),
-            );
-        }
     }
     group.finish();
 }
@@ -109,6 +98,6 @@ criterion_group!(
     bench_ladder,
     bench_nullable,
     bench_chain,
-    bench_parallel_pipeline
+    bench_pipeline
 );
 criterion_main!(benches);

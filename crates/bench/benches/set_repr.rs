@@ -6,7 +6,7 @@ use std::collections::HashSet;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lalr_automata::Lr0Automaton;
 use lalr_core::Relations;
-use lalr_digraph::{digraph, digraph_on, UnionSets};
+use lalr_digraph::{digraph, digraph_from_on, UnionSets};
 
 /// Hash-set-per-node store implementing the same interface.
 struct HashStore {
@@ -70,7 +70,7 @@ fn bench_set_repr(c: &mut Criterion) {
                             .map(|r| read.iter_row(r).collect())
                             .collect(),
                     };
-                    digraph_on(rel.includes(), &mut store);
+                    digraph_from_on(rel.includes(), &mut store, 0..rel.includes().node_count());
                     store.sets.len()
                 })
             },

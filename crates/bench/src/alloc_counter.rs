@@ -14,15 +14,28 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// The system allocator behind relaxed allocation/byte counters.
 pub struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-static BYTES: AtomicUsize = AtomicUsize::new(0);
+/// Both counters in one cache line of their own. Every allocation on
+/// every thread writes them, so their placement decides how much
+/// coherence traffic concurrent allocators pay: left as two free statics,
+/// the linker may split them across two lines or pack them beside
+/// unrelated hot statics, and timings then move with unrelated code.
+#[repr(align(64))]
+struct Counters {
+    allocations: AtomicUsize,
+    bytes: AtomicUsize,
+}
+
+static COUNTERS: Counters = Counters {
+    allocations: AtomicUsize::new(0),
+    bytes: AtomicUsize::new(0),
+};
 
 // SAFETY: delegates verbatim to `System`; the counters are side tables.
 #[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        COUNTERS.allocations.fetch_add(1, Ordering::Relaxed);
+        COUNTERS.bytes.fetch_add(layout.size(), Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -33,8 +46,8 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A grow/shrink is one more allocator round-trip; count the newly
         // requested size (the classic `heaptrack` convention).
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size, Ordering::Relaxed);
+        COUNTERS.allocations.fetch_add(1, Ordering::Relaxed);
+        COUNTERS.bytes.fetch_add(new_size, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -53,8 +66,8 @@ pub struct AllocStats {
 
 fn snapshot() -> (usize, usize) {
     (
-        ALLOCATIONS.load(Ordering::Relaxed),
-        BYTES.load(Ordering::Relaxed),
+        COUNTERS.allocations.load(Ordering::Relaxed),
+        COUNTERS.bytes.load(Ordering::Relaxed),
     )
 }
 

@@ -432,7 +432,7 @@ pub fn table7() -> String {
 /// harness wraps around the two LR(1)-merge stages.
 pub fn table9() -> String {
     use lalr_automata::merge_lr1;
-    use lalr_core::{propagation_recorded, LookaheadSets, Parallelism};
+    use lalr_core::{propagation_recorded, LookaheadSets};
     use lalr_obs::{CollectingRecorder, PhaseReport};
     use std::time::{Duration, Instant};
 
@@ -468,8 +468,7 @@ pub fn table9() -> String {
 
         let rec = CollectingRecorder::new();
         let t0 = Instant::now();
-        let la = LalrAnalysis::compute_recorded(&g, &lr0, &Parallelism::sequential(), &rec)
-            .into_lookaheads();
+        let la = LalrAnalysis::compute_recorded(&g, &lr0, &rec).into_lookaheads();
         let total = t0.elapsed();
         std::hint::black_box(la);
         row(&mut out, entry.name, "DP", total, &rec.report());
@@ -578,9 +577,9 @@ where
 
 /// Table 12 — the bitset kernel substrate (E16): per-kernel ns/row and
 /// estimated cycles/row at the row widths the corpus actually selects
-/// (w=1 fixed-64, w=2 fixed-128) plus wider multi-word rows, the wide-lane
-/// dispatch this build resolved, and the cold c_subset DP pipeline
-/// measured live against the recorded pre-substrate baseline.
+/// (w=1 fixed-64, w=2 fixed-128) plus wider multi-word rows, and the
+/// cold c_subset DP pipeline measured live against the recorded
+/// pre-substrate baseline.
 pub fn table12() -> String {
     use crate::alloc_counter::measure;
     use lalr_automata::Lr0Automaton;
@@ -592,14 +591,7 @@ pub fn table12() -> String {
     let _ = writeln!(out, "Table 12: bitset kernel cycles/row (E16)");
     let _ = writeln!(
         out,
-        "wide lane: {} (simd compiled: {}); est. clock {:.2} GHz (rotate-xor chain calibration)",
-        lalr_bitset::dispatch_name(),
-        if lalr_bitset::simd_compiled() {
-            "yes"
-        } else {
-            "no"
-        },
-        ghz,
+        "est. clock {ghz:.2} GHz (rotate-xor chain calibration)"
     );
     let _ = writeln!(
         out,
@@ -791,18 +783,12 @@ mod tests {
         ] {
             assert!(t.contains(kernel), "{kernel} missing from table 12");
         }
-        assert!(t.contains("wide lane:"), "dispatch line missing");
+        assert!(t.contains("est. clock"), "clock line missing");
         assert!(
             t.contains("cold c_subset DP pipeline"),
             "cold section missing"
         );
         assert!(t.contains("pre-kernel"), "baseline column missing");
-        // The dispatch named must agree with how this test binary was built.
-        if lalr_bitset::simd_compiled() {
-            assert!(t.contains("simd compiled: yes"));
-        } else {
-            assert!(t.contains("wide lane: scalar-unrolled"));
-        }
     }
 
     #[test]

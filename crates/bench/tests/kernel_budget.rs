@@ -1,4 +1,4 @@
-//! Kernel-dispatch regression guard, in the spirit of `alloc_budget.rs`.
+//! Kernel-layout regression guard, in the spirit of `alloc_budget.rs`.
 //!
 //! Layout selection is the cheapest performance decision in the whole
 //! pipeline — one classification per analysis — and also the easiest to
@@ -7,9 +7,8 @@
 //! drops from the straight-line fixed-width lane to the generic loop
 //! with nothing failing. This test pins, per corpus grammar, the
 //! `RowLayout` the look-ahead sets must select (derived from the
-//! terminal alphabet including the reserved `$`), plus the wide-lane
-//! dispatch the build is expected to report. A mismatch fails CI before
-//! any benchmark would notice the slowdown.
+//! terminal alphabet including the reserved `$`). A mismatch fails CI
+//! before any benchmark would notice the slowdown.
 
 use lalr_automata::Lr0Automaton;
 use lalr_bench::methods::Method;
@@ -68,24 +67,6 @@ fn every_corpus_grammar_is_pinned() {
             pinned.contains(&entry.name),
             "corpus grammar {:?} has no pinned RowLayout in kernel_budget.rs",
             entry.name
-        );
-    }
-}
-
-#[test]
-fn wide_lane_dispatch_matches_build_features() {
-    let name = lalr_core::kernel_dispatch_name();
-    if lalr_core::simd_compiled() {
-        // Runtime detection picks the best lane the host offers; both
-        // are SIMD lanes and either is acceptable under the feature.
-        assert!(
-            matches!(name, "sse2" | "avx2"),
-            "simd build must select a vector lane, got {name:?}"
-        );
-    } else {
-        assert_eq!(
-            name, "scalar-unrolled",
-            "portable build must select the unrolled scalar lane"
         );
     }
 }

@@ -11,20 +11,19 @@
 
 use lalr_automata::Lr0Automaton;
 use lalr_bench::alloc_counter::measure;
-use lalr_core::{LalrAnalysis, Parallelism};
+use lalr_core::LalrAnalysis;
 
 fn cold_allocations(recorded: bool) -> usize {
     let entry = lalr_corpus::by_name("c_subset").expect("corpus entry exists");
     let ((), stats) = measure(|| {
         let grammar = entry.grammar();
-        let seq = Parallelism::sequential();
         let (lr0, analysis) = if recorded {
             let lr0 = Lr0Automaton::build_recorded(&grammar, &lalr_obs::NULL);
-            let a = LalrAnalysis::compute_recorded(&grammar, &lr0, &seq, &lalr_obs::NULL);
+            let a = LalrAnalysis::compute_recorded(&grammar, &lr0, &lalr_obs::NULL);
             (lr0, a)
         } else {
             let lr0 = Lr0Automaton::build(&grammar);
-            let a = LalrAnalysis::compute_with(&grammar, &lr0, &seq);
+            let a = LalrAnalysis::compute(&grammar, &lr0);
             (lr0, a)
         };
         std::hint::black_box((lr0.state_count(), analysis.lookaheads().reduction_count()));

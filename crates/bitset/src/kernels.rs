@@ -2,11 +2,9 @@
 //!
 //! Every look-ahead method in the workspace bottoms out in a handful of
 //! dense row operations — union, union-with-changed-flag, masked OR,
-//! row copy, population count, and a blocked multi-source OR. Before this
-//! module those loops were written (near-identically) in `bitset.rs`,
-//! `matrix.rs`, `atomic.rs`, `refset.rs` and `shard.rs`; now each set
-//! type delegates here, so the sequential and parallel lanes share one
-//! code path and one optimization surface.
+//! row copy, population count, and a blocked multi-source OR. Each set
+//! type (`bitset.rs`, `matrix.rs`, `refset.rs`) delegates here, so there
+//! is one code path and one optimization surface.
 //!
 //! # Layout selection
 //!
@@ -15,15 +13,11 @@
 //! * [`RowLayout::Fixed64`] (`W1`) — the universe fits one machine word
 //!   (≤ 64 terminals on 64-bit hosts; most of the corpus). Kernels run a
 //!   single straight-line word operation: no loop, no length dispatch in
-//!   the body, and scratch rows ([`RowBuf`]) live inline on the stack
-//!   with no heap indirection.
+//!   the body.
 //! * [`RowLayout::Fixed128`] (`W2`) — two words (65–128 terminals);
 //!   same story with a two-word straight-line body.
-//! * [`RowLayout::MultiWord`] — anything wider takes the *wide* path:
-//!   a 4-way unrolled scalar loop by default, or the `core::arch`
-//!   SSE2/AVX2 kernels when the crate is built with the `simd` feature
-//!   (selected once at runtime via CPU detection; see
-//!   [`dispatch_name`]).
+//! * [`RowLayout::MultiWord`] — anything wider takes the *wide* path,
+//!   a 4-way unrolled scalar loop.
 //!
 //! The fixed lanes are not merely an inlining hint: the kernels match on
 //! the slice width *first*, so a one-word grammar never executes loop
@@ -38,8 +32,6 @@
 //! after its kernel, so a kernel that smears bits into the tail fails
 //! loudly in debug builds instead of silently corrupting counts.
 
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-
 use crate::{words_for, BITS};
 
 // ---------------------------------------------------------------------------
@@ -48,7 +40,6 @@ use crate::{words_for, BITS};
 /// How the rows of one analysis are stored and which kernel lane
 /// processes them. Selected once per universe via [`RowLayout::select`]
 /// and consumed by [`BitMatrix`](crate::BitMatrix),
-/// [`AtomicBitMatrix`](crate::AtomicBitMatrix),
 /// [`BitSetRef`](crate::BitSetRef) and the look-ahead store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RowLayout {
@@ -56,7 +47,7 @@ pub enum RowLayout {
     Fixed64,
     /// Two words per row (`W2`): universes of 65–128 bits.
     Fixed128,
-    /// The general unrolled/SIMD lane for wider universes.
+    /// The general unrolled lane for wider universes.
     MultiWord {
         /// Words per row (`>= 3`).
         words: usize,
@@ -97,139 +88,27 @@ impl RowLayout {
             RowLayout::MultiWord { .. } => "multi-word",
         }
     }
-
-    /// The kernel lane this layout dispatches to: `w1`/`w2` for the
-    /// fixed widths, otherwise the wide dispatch (see [`dispatch_name`]).
-    pub fn dispatch(self) -> &'static str {
-        match self {
-            RowLayout::Fixed64 => "w1",
-            RowLayout::Fixed128 => "w2",
-            RowLayout::MultiWord { .. } => dispatch_name(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Wide-lane dispatch (runtime CPU detection, cached)
-
-const D_UNSET: u8 = 0;
-const D_SCALAR: u8 = 1;
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-const D_SSE2: u8 = 2;
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-const D_AVX2: u8 = 3;
-
-static WIDE_DISPATCH: AtomicU8 = AtomicU8::new(D_UNSET);
-
-#[inline]
-fn wide_dispatch() -> u8 {
-    match WIDE_DISPATCH.load(Ordering::Relaxed) {
-        D_UNSET => detect(),
-        d => d,
-    }
-}
-
-#[cold]
-fn detect() -> u8 {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    let d = if std::arch::is_x86_feature_detected!("avx2") {
-        D_AVX2
-    } else {
-        D_SSE2
-    };
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    let d = D_SCALAR;
-    WIDE_DISPATCH.store(d, Ordering::Relaxed);
-    d
-}
-
-/// The wide-lane implementation selected for this process:
-/// `scalar-unrolled`, `sse2` or `avx2`.
-///
-/// Detection runs once (cached in an atomic); without the `simd` feature
-/// the answer is always `scalar-unrolled`.
-pub fn dispatch_name() -> &'static str {
-    match wide_dispatch() {
-        D_SCALAR => "scalar-unrolled",
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        D_SSE2 => "sse2",
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        D_AVX2 => "avx2",
-        _ => "scalar-unrolled",
-    }
-}
-
-/// Whether this build carries the `core::arch` kernels (the `simd`
-/// cargo feature on an x86_64 target). Runtime selection may still fall
-/// back to SSE2 on hosts without AVX2.
-pub fn simd_compiled() -> bool {
-    cfg!(all(feature = "simd", target_arch = "x86_64"))
 }
 
 // ---------------------------------------------------------------------------
 // Cache tiling
 
-/// Bytes of destination rows a traversal tile aims to keep resident.
+/// Bytes of destination rows a batch tile aims to keep resident.
 ///
 /// Half of a conservative 256 KiB L2: the other half is left to source
-/// rows, the scratch row and incidental state. Exact sizing is not
+/// rows and incidental state. Exact sizing is not
 /// critical — the point is that a tile of hot rows fits comfortably in
 /// L2 instead of streaming the whole matrix per pass.
 const L2_TILE_BYTES: usize = 128 << 10;
 
 /// Rows per cache tile for rows of `row_words` words: how many
-/// destination rows a level sweep or LA scatter should touch before
-/// moving on, so the working set stays L2-resident.
+/// destination rows an LA scatter should touch before moving on, so the
+/// working set stays L2-resident.
 ///
 /// Clamped to `[16, 4096]` so degenerate widths still form useful tiles.
 pub fn tile_rows(row_words: usize) -> usize {
     let row_bytes = row_words.max(1) * std::mem::size_of::<usize>();
     (L2_TILE_BYTES / row_bytes).clamp(16, 4096)
-}
-
-// ---------------------------------------------------------------------------
-// Scratch rows
-
-/// A row-sized scratch buffer that honors the layout's storage promise:
-/// `W1`/`W2` rows live inline on the stack with no heap indirection;
-/// only multi-word rows spill to a heap allocation (once, at
-/// construction).
-#[derive(Debug)]
-pub enum RowBuf {
-    /// Inline storage for the fixed layouts; `.1` is the row width (1
-    /// or 2).
-    Inline([usize; 2], usize),
-    /// Heap storage for multi-word rows.
-    Spilled(Vec<usize>),
-}
-
-impl RowBuf {
-    /// An all-zero scratch row for `layout`.
-    pub fn for_layout(layout: RowLayout) -> RowBuf {
-        match layout {
-            RowLayout::Fixed64 => RowBuf::Inline([0; 2], 1),
-            RowLayout::Fixed128 => RowBuf::Inline([0; 2], 2),
-            RowLayout::MultiWord { words } => RowBuf::Spilled(vec![0; words]),
-        }
-    }
-
-    /// The row words.
-    #[inline]
-    pub fn as_slice(&self) -> &[usize] {
-        match self {
-            RowBuf::Inline(words, n) => &words[..*n],
-            RowBuf::Spilled(words) => words,
-        }
-    }
-
-    /// The row words, mutably.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [usize] {
-        match self {
-            RowBuf::Inline(words, n) => &mut words[..*n],
-            RowBuf::Spilled(words) => words,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -255,7 +134,7 @@ pub fn debug_assert_tail_clear(words: &[usize], bits: usize) {
 }
 
 // ---------------------------------------------------------------------------
-// Plain (non-atomic) kernels
+// Kernels
 
 /// `dst |= src`, reporting whether `dst` changed.
 ///
@@ -284,7 +163,7 @@ pub fn or_into(dst: &mut [usize], src: &[usize]) -> bool {
             dst[1] |= src[1];
             fresh != 0
         }
-        _ => or_wide(dst, &src[..dst.len()]),
+        _ => or_wide_scalar(dst, &src[..dst.len()]),
     }
 }
 
@@ -414,8 +293,7 @@ pub fn is_disjoint(a: &[usize], b: &[usize]) -> bool {
 ///
 /// Walks word-major across all sources — each destination word is
 /// loaded and stored exactly once no matter how many sources feed it,
-/// and no block transpose is materialized. This is what a traversal
-/// tile uses when several finalized rows flow into one representative.
+/// and no block transpose is materialized.
 ///
 /// # Panics
 ///
@@ -436,23 +314,8 @@ pub fn or_accumulate(dst: &mut [usize], srcs: &[&[usize]]) -> bool {
     fresh != 0
 }
 
-/// The wide lane of [`or_into`]: SIMD when compiled in and detected,
-/// otherwise the 4-way unrolled scalar loop.
-#[inline]
-fn or_wide(dst: &mut [usize], src: &[usize]) -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        match wide_dispatch() {
-            D_AVX2 => return x86::or_into_avx2(dst, src),
-            D_SSE2 => return x86::or_into_sse2(dst, src),
-            _ => {}
-        }
-    }
-    or_wide_scalar(dst, src)
-}
-
-/// Portable wide lane: 4-way unrolled, accumulating the fresh-bit mask
-/// so the changed test is one compare at the end.
+/// The wide lane of [`or_into`]: 4-way unrolled, accumulating the
+/// fresh-bit mask so the changed test is one compare at the end.
 fn or_wide_scalar(dst: &mut [usize], src: &[usize]) -> bool {
     debug_assert_eq!(dst.len(), src.len());
     let n = dst.len();
@@ -475,157 +338,6 @@ fn or_wide_scalar(dst: &mut [usize], src: &[usize]) -> bool {
         *d |= s;
     }
     fresh != 0
-}
-
-// ---------------------------------------------------------------------------
-// Atomic kernels (relaxed ordering; see `atomic.rs` for the discipline)
-
-/// `dst |= src` over atomic destination words, reporting whether `dst`
-/// changed. Zero source words are skipped: a `fetch_or(0)` still dirties
-/// the cache line, and look-ahead rows are sparse.
-///
-/// Processes `min(dst.len(), src.len())` words by contract with the
-/// callers in `atomic.rs`, which slice both sides to the row width.
-#[inline]
-pub fn fetch_or_atomic(dst: &[AtomicUsize], src: &[usize]) -> bool {
-    let mut changed = false;
-    for (d, &s) in dst.iter().zip(src) {
-        if s != 0 {
-            let prev = d.fetch_or(s, Ordering::Relaxed);
-            changed |= s & !prev != 0;
-        }
-    }
-    changed
-}
-
-/// `dst |= src` where both rows are atomic (relaxed load on the source
-/// side; the source must be finalized in an earlier epoch).
-#[inline]
-pub fn fetch_or_atomic_rows(dst: &[AtomicUsize], src: &[AtomicUsize]) -> bool {
-    let mut changed = false;
-    for (d, s) in dst.iter().zip(src) {
-        let sv = s.load(Ordering::Relaxed);
-        if sv != 0 {
-            let prev = d.fetch_or(sv, Ordering::Relaxed);
-            changed |= sv & !prev != 0;
-        }
-    }
-    changed
-}
-
-/// `dst := src` over atomic rows (relaxed load + store per word).
-#[inline]
-pub fn copy_atomic_rows(dst: &[AtomicUsize], src: &[AtomicUsize]) {
-    for (d, s) in dst.iter().zip(src) {
-        d.store(s.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-}
-
-/// Copies an atomic row into a plain buffer (relaxed loads).
-#[inline]
-pub fn read_atomic(src: &[AtomicUsize], dst: &mut [usize]) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = s.load(Ordering::Relaxed);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// x86_64 SIMD lane (`simd` feature)
-
-/// `core::arch` kernels. The only `unsafe` in the crate lives here, and
-/// only under the `simd` feature: raw-pointer vector loads/stores over
-/// slices whose bounds are established by the safe wrappers, plus
-/// `target_feature` calls guarded by the cached runtime detection in
-/// [`wide_dispatch`].
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod x86 {
-    #![allow(unsafe_code)]
-
-    use std::arch::x86_64::{
-        __m128i, __m256i, _mm256_andnot_si256, _mm256_loadu_si256, _mm256_or_si256,
-        _mm256_setzero_si256, _mm256_storeu_si256, _mm256_testz_si256, _mm_andnot_si128,
-        _mm_cmpeq_epi8, _mm_loadu_si128, _mm_movemask_epi8, _mm_or_si128, _mm_setzero_si128,
-        _mm_storeu_si128,
-    };
-
-    /// AVX2 [`super::or_into`]: 256 bits (four 64-bit words) per step,
-    /// fresh bits accumulated in a vector and tested once with `vptest`.
-    ///
-    /// Safe to call only after `avx2` was runtime-detected (the
-    /// dispatcher guarantees it).
-    pub fn or_into_avx2(dst: &mut [usize], src: &[usize]) -> bool {
-        debug_assert_eq!(dst.len(), src.len());
-        // SAFETY: `avx2` support was established by `is_x86_feature_detected!`
-        // before this lane is ever selected.
-        unsafe { or_into_avx2_impl(dst, src) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn or_into_avx2_impl(dst: &mut [usize], src: &[usize]) -> bool {
-        let n = dst.len();
-        let dp = dst.as_mut_ptr();
-        let sp = src.as_ptr();
-        let mut fresh_v = _mm256_setzero_si256();
-        let mut i = 0usize;
-        // SAFETY: `i + 4 <= n` bounds every 4-word (32-byte) unaligned
-        // load/store inside both slices; `loadu`/`storeu` carry no
-        // alignment requirement.
-        while i + 4 <= n {
-            let d = _mm256_loadu_si256(dp.add(i) as *const __m256i);
-            let s = _mm256_loadu_si256(sp.add(i) as *const __m256i);
-            fresh_v = _mm256_or_si256(fresh_v, _mm256_andnot_si256(d, s));
-            _mm256_storeu_si256(dp.add(i) as *mut __m256i, _mm256_or_si256(d, s));
-            i += 4;
-        }
-        let mut fresh = usize::from(_mm256_testz_si256(fresh_v, fresh_v) == 0);
-        while i < n {
-            let d = *dp.add(i);
-            let s = *sp.add(i);
-            fresh |= s & !d;
-            *dp.add(i) = d | s;
-            i += 1;
-        }
-        fresh != 0
-    }
-
-    /// SSE2 [`super::or_into`]: 128 bits (two 64-bit words) per step.
-    /// SSE2 is the x86_64 baseline, so this lane needs no detection —
-    /// it is the fallback when AVX2 is absent.
-    pub fn or_into_sse2(dst: &mut [usize], src: &[usize]) -> bool {
-        debug_assert_eq!(dst.len(), src.len());
-        // SAFETY: SSE2 is unconditionally available on x86_64.
-        unsafe { or_into_sse2_impl(dst, src) }
-    }
-
-    #[target_feature(enable = "sse2")]
-    unsafe fn or_into_sse2_impl(dst: &mut [usize], src: &[usize]) -> bool {
-        let n = dst.len();
-        let dp = dst.as_mut_ptr();
-        let sp = src.as_ptr();
-        let mut fresh_v = _mm_setzero_si128();
-        let mut i = 0usize;
-        // SAFETY: `i + 2 <= n` bounds every 2-word (16-byte) unaligned
-        // load/store inside both slices.
-        while i + 2 <= n {
-            let d = _mm_loadu_si128(dp.add(i) as *const __m128i);
-            let s = _mm_loadu_si128(sp.add(i) as *const __m128i);
-            fresh_v = _mm_or_si128(fresh_v, _mm_andnot_si128(d, s));
-            _mm_storeu_si128(dp.add(i) as *mut __m128i, _mm_or_si128(d, s));
-            i += 2;
-        }
-        // SSE2 has no `ptest`: compare the accumulator to zero bytewise.
-        let zero = _mm_setzero_si128();
-        let all_zero = _mm_movemask_epi8(_mm_cmpeq_epi8(fresh_v, zero)) == 0xFFFF;
-        let mut fresh = usize::from(!all_zero);
-        while i < n {
-            let d = *dp.add(i);
-            let s = *sp.add(i);
-            fresh |= s & !d;
-            *dp.add(i) = d | s;
-            i += 1;
-        }
-        fresh != 0
-    }
 }
 
 #[cfg(test)]
@@ -672,19 +384,6 @@ mod tests {
         assert_eq!(RowLayout::select(5).name(), "fixed-64");
         assert_eq!(RowLayout::select(BITS + 1).name(), "fixed-128");
         assert_eq!(RowLayout::select(999).name(), "multi-word");
-        assert_eq!(RowLayout::select(5).dispatch(), "w1");
-        assert_eq!(RowLayout::select(BITS + 1).dispatch(), "w2");
-    }
-
-    #[test]
-    fn dispatch_name_is_stable_and_consistent() {
-        let name = dispatch_name();
-        assert_eq!(name, dispatch_name(), "cached answer must not flap");
-        if simd_compiled() {
-            assert!(matches!(name, "sse2" | "avx2"), "{name}");
-        } else {
-            assert_eq!(name, "scalar-unrolled");
-        }
     }
 
     #[test]
@@ -779,51 +478,6 @@ mod tests {
                 assert_eq!(want_changed, got_changed, "width {n}, {k} sources");
             }
         }
-    }
-
-    #[test]
-    fn atomic_kernels_match_plain() {
-        for n in 1..=5 {
-            let src = words(13, n);
-            let init = words(29, n);
-            let dst: Vec<AtomicUsize> = init.iter().map(|&w| AtomicUsize::new(w)).collect();
-            let mut want = init.clone();
-            let rw = or_reference(&mut want, &src);
-            let rg = fetch_or_atomic(&dst, &src);
-            let got: Vec<usize> = dst.iter().map(|w| w.load(Ordering::Relaxed)).collect();
-            assert_eq!(want, got, "width {n}");
-            assert_eq!(rw, rg, "width {n}");
-
-            let other: Vec<AtomicUsize> = src.iter().map(|&w| AtomicUsize::new(w)).collect();
-            let dst2: Vec<AtomicUsize> = init.iter().map(|&w| AtomicUsize::new(w)).collect();
-            assert_eq!(fetch_or_atomic_rows(&dst2, &other), rw, "width {n}");
-            let got2: Vec<usize> = dst2.iter().map(|w| w.load(Ordering::Relaxed)).collect();
-            assert_eq!(want, got2, "width {n}");
-
-            let mut buf = vec![0; n];
-            read_atomic(&dst2, &mut buf);
-            assert_eq!(buf, want, "width {n}");
-            copy_atomic_rows(&other, &dst2);
-            let got3: Vec<usize> = other.iter().map(|w| w.load(Ordering::Relaxed)).collect();
-            assert_eq!(got3, want, "width {n}");
-        }
-    }
-
-    #[test]
-    fn row_buf_honors_layout_storage() {
-        let mut w1 = RowBuf::for_layout(RowLayout::Fixed64);
-        assert_eq!(w1.as_slice(), &[0]);
-        w1.as_mut_slice()[0] = 7;
-        assert_eq!(w1.as_slice(), &[7]);
-        assert!(matches!(w1, RowBuf::Inline(..)));
-
-        let w2 = RowBuf::for_layout(RowLayout::Fixed128);
-        assert_eq!(w2.as_slice(), &[0, 0]);
-        assert!(matches!(w2, RowBuf::Inline(..)));
-
-        let wide = RowBuf::for_layout(RowLayout::MultiWord { words: 5 });
-        assert_eq!(wide.as_slice().len(), 5);
-        assert!(matches!(wide, RowBuf::Spilled(..)));
     }
 
     #[test]

@@ -25,26 +25,19 @@
 //! assert_eq!(a.iter().collect::<Vec<_>>(), vec![3, 70, 100]);
 //! ```
 
-// `unsafe` is forbidden everywhere except the explicitly allowed
-// `kernels::x86` module, which only exists under the `simd` feature.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod atomic;
 mod bitset;
 mod matrix;
 mod refset;
-mod shard;
 
 pub mod kernels;
 
-pub use atomic::AtomicBitMatrix;
 pub use bitset::{BitSet, Iter};
-pub use kernels::{dispatch_name, simd_compiled, tile_rows, RowBuf, RowLayout};
+pub use kernels::{tile_rows, RowLayout};
 pub use matrix::BitMatrix;
 pub use refset::{BitSetRef, RefIter};
-pub use shard::RowsMut;
 
 pub(crate) const BITS: usize = usize::BITS as usize;
 

@@ -31,7 +31,7 @@
 use std::fmt::Write as _;
 
 use lalr_automata::Lr0Automaton;
-use lalr_core::{classify_with, LalrAnalysis, Parallelism};
+use lalr_core::{classify, LalrAnalysis, Parallelism};
 use lalr_grammar::{Grammar, GrammarStats};
 use lalr_runtime::{Lexer, Parser};
 use lalr_tables::{build_table, TableOptions};
@@ -60,21 +60,39 @@ fn fail(message: impl Into<String>) -> CliError {
     }
 }
 
+/// The uniform error for a flag a command does not take: a usage error,
+/// so it exits 2 like an unknown command.
+fn unknown_flag(cmd: &str, flag: &str, available: &str) -> CliError {
+    CliError {
+        message: format!("unknown flag {flag:?} for {cmd} (available: {available})"),
+        code: 2,
+    }
+}
+
+/// Rejects any `--flag` among the arguments of a command that takes
+/// positional arguments only.
+fn no_flags(cmd: &str, args: &[String]) -> Result<(), CliError> {
+    match args.iter().find(|a| a.starts_with("--")) {
+        Some(flag) => Err(unknown_flag(cmd, flag, "none")),
+        None => Ok(()),
+    }
+}
+
 /// Usage text.
-pub const USAGE: &str = "usage: lalrgen <command> <grammar> [args] [--threads N]
+pub const USAGE: &str = "usage: lalrgen <command> <grammar> [args]
   commands: analyze, explain, classify, states, table, dot, codegen,
             sentences, check, parse, profile, serve, store, client, stats,
             trace, top
   <grammar> is a file path or a corpus name (try: expr, json, pascal, c_subset)
-  --threads N runs the look-ahead pipeline on N worker threads (same output, faster on large grammars)
   profile <grammar> [--trace-out FILE]   per-phase wall/alloc breakdown of the
          grammar -> LA pipeline; --trace-out writes a Chrome trace (chrome://tracing)
   serve  [--addr A] [--cache-mb N] [--max-conn N] [--deadline-ms N] [--max-pending N]
          [--drain-ms N] [--chaos SPEC] [--chaos-seed N] [--store DIR] [--no-store]
          [--shards N] [--threaded] [--trace-sample N] [--trace-capacity N]
          [--max-conn-per-peer N] [--rate-limit N] [--rate-burst N]
-         [--write-budget-ms N] [--reject-timeout-ms N]
-         run the compile daemon
+         [--write-budget-ms N] [--reject-timeout-ms N] [--threads N]
+         run the compile daemon; --threads N sizes the worker pool
+         (default: one worker per core)
          --chaos arms deterministic failpoints, e.g. \"daemon.write:partial:0.05\"
          --store persists compiled artifacts to DIR (mmap-loaded on repeat
          requests, surviving restarts); --no-store wins over --store
@@ -129,48 +147,23 @@ pub fn load_grammar(arg: &str) -> Result<Grammar, CliError> {
     parsed.map_err(|e| fail(format!("{arg}: {e}")))
 }
 
-/// Extracts a global `--threads N` flag (anywhere after the command) and
-/// returns the remaining arguments plus the resulting configuration.
-fn extract_parallelism(args: &[String]) -> Result<(Vec<String>, Parallelism), CliError> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut parallelism = Parallelism::sequential();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--threads" {
-            let value = args
-                .get(i + 1)
-                .ok_or_else(|| fail("--threads needs a count"))?;
-            let n: usize = value
-                .parse()
-                .map_err(|_| fail(format!("bad thread count {value:?}")))?;
-            parallelism = Parallelism::new(n);
-            i += 2;
-        } else {
-            rest.push(args[i].clone());
-            i += 1;
-        }
-    }
-    Ok((rest, parallelism))
-}
-
 /// Dispatches a full argument vector (without `argv[0]`).
 pub fn run(args: &[String]) -> Result<String, CliError> {
-    let (args, par) = extract_parallelism(args)?;
     let cmd = args.first().map(String::as_str).unwrap_or("");
     let rest = args.get(1..).unwrap_or(&[]);
     match cmd {
-        "analyze" => cmd_analyze(rest, &par),
-        "explain" => cmd_explain(rest, &par),
-        "classify" => cmd_classify(rest, &par),
-        "states" => cmd_states(rest, &par),
-        "table" => cmd_table(rest, &par),
+        "analyze" => cmd_analyze(rest),
+        "explain" => cmd_explain(rest),
+        "classify" => cmd_classify(rest),
+        "states" => cmd_states(rest),
+        "table" => cmd_table(rest),
         "dot" => cmd_dot(rest),
-        "codegen" => cmd_codegen(rest, &par),
+        "codegen" => cmd_codegen(rest),
         "sentences" => cmd_sentences(rest),
-        "check" => cmd_check(rest, &par),
-        "parse" => cmd_parse(rest, &par),
-        "profile" => cmd_profile(rest, &par),
-        "serve" => cmd_serve(rest, &par),
+        "check" => cmd_check(rest),
+        "parse" => cmd_parse(rest),
+        "profile" => cmd_profile(rest),
+        "serve" => cmd_serve(rest),
         "store" => cmd_store(rest),
         "client" => cmd_client(rest),
         "stats" => cmd_stats(rest),
@@ -191,12 +184,13 @@ fn grammar_arg<'a>(args: &'a [String], what: &str) -> Result<&'a str, CliError> 
     })
 }
 
-fn cmd_analyze(args: &[String], par: &Parallelism) -> Result<String, CliError> {
+fn cmd_analyze(args: &[String]) -> Result<String, CliError> {
+    no_flags("analyze", args)?;
     let name = grammar_arg(args, "analyze")?;
     let grammar = load_grammar(name)?;
     let stats = GrammarStats::compute(&grammar);
     let lr0 = Lr0Automaton::build(&grammar);
-    let analysis = LalrAnalysis::compute_with(&grammar, &lr0, par);
+    let analysis = LalrAnalysis::compute(&grammar, &lr0);
     let rs = analysis.relation_stats();
     let conflicts = analysis.conflicts(&grammar, &lr0);
 
@@ -238,11 +232,10 @@ fn cmd_analyze(args: &[String], par: &Parallelism) -> Result<String, CliError> {
     let layout = la.layout();
     let _ = writeln!(
         out,
-        "row layout: {}  ({} terminals, {} word(s)/row, wide lane: {})",
+        "row layout: {}  ({} terminals, {} word(s)/row)",
         layout.name(),
         la.terminal_count(),
         layout.words(),
-        lalr_core::kernel_dispatch_name(),
     );
     // Cardinality histogram of the look-ahead sets: how full the rows
     // the kernels sweep actually are.
@@ -274,10 +267,11 @@ fn cmd_analyze(args: &[String], par: &Parallelism) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn cmd_classify(args: &[String], par: &Parallelism) -> Result<String, CliError> {
+fn cmd_classify(args: &[String]) -> Result<String, CliError> {
+    no_flags("classify", args)?;
     let name = grammar_arg(args, "classify")?;
     let grammar = load_grammar(name)?;
-    let m = classify_with(&grammar, par);
+    let m = classify(&grammar);
     Ok(format!(
         "{name}: {} (conflicts lr0={} slr={} nqlalr={} lalr={} lr1={}{})\n",
         m.class,
@@ -292,12 +286,13 @@ fn cmd_classify(args: &[String], par: &Parallelism) -> Result<String, CliError> 
 
 /// Explains every conflict with a viable prefix and the relation chains
 /// that carry the offending terminal (see `lalr_core::explain_conflict`).
-fn cmd_explain(args: &[String], par: &Parallelism) -> Result<String, CliError> {
+fn cmd_explain(args: &[String]) -> Result<String, CliError> {
+    no_flags("explain", args)?;
     let name = grammar_arg(args, "explain")?;
     let grammar = load_grammar(name)?;
     let lr0 = Lr0Automaton::build(&grammar);
     let relations = lalr_core::Relations::build(&grammar, &lr0);
-    let analysis = LalrAnalysis::compute_with(&grammar, &lr0, par);
+    let analysis = LalrAnalysis::compute(&grammar, &lr0);
     let conflicts = analysis.conflicts(&grammar, &lr0);
     if conflicts.is_empty() {
         return Ok(format!("{name}: no LALR(1) conflicts\n"));
@@ -318,11 +313,12 @@ fn cmd_explain(args: &[String], par: &Parallelism) -> Result<String, CliError> {
 
 /// The yacc `y.output` analogue: every state with its kernel items,
 /// look-ahead-annotated reductions, and transitions.
-fn cmd_states(args: &[String], par: &Parallelism) -> Result<String, CliError> {
+fn cmd_states(args: &[String]) -> Result<String, CliError> {
+    no_flags("states", args)?;
     let name = grammar_arg(args, "states")?;
     let grammar = load_grammar(name)?;
     let lr0 = Lr0Automaton::build(&grammar);
-    let analysis = LalrAnalysis::compute_with(&grammar, &lr0, par);
+    let analysis = LalrAnalysis::compute(&grammar, &lr0);
     let la = analysis.lookaheads();
 
     let mut out = String::new();
@@ -362,11 +358,12 @@ fn cmd_states(args: &[String], par: &Parallelism) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn cmd_table(args: &[String], par: &Parallelism) -> Result<String, CliError> {
+fn cmd_table(args: &[String]) -> Result<String, CliError> {
+    no_flags("table", args)?;
     let name = grammar_arg(args, "table")?;
     let grammar = load_grammar(name)?;
     let lr0 = Lr0Automaton::build(&grammar);
-    let analysis = LalrAnalysis::compute_with(&grammar, &lr0, par);
+    let analysis = LalrAnalysis::compute(&grammar, &lr0);
     let table = build_table(
         &grammar,
         &lr0,
@@ -392,17 +389,19 @@ fn cmd_table(args: &[String], par: &Parallelism) -> Result<String, CliError> {
 }
 
 fn cmd_dot(args: &[String]) -> Result<String, CliError> {
+    no_flags("dot", args)?;
     let name = grammar_arg(args, "dot")?;
     let grammar = load_grammar(name)?;
     Ok(Lr0Automaton::build(&grammar).to_dot(&grammar))
 }
 
-fn cmd_codegen(args: &[String], par: &Parallelism) -> Result<String, CliError> {
+fn cmd_codegen(args: &[String]) -> Result<String, CliError> {
+    no_flags("codegen", args)?;
     let name = grammar_arg(args, "codegen")?;
     let grammar = load_grammar(name)?;
     let module = args.get(1).map(String::as_str).unwrap_or("parser");
     let lr0 = Lr0Automaton::build(&grammar);
-    let analysis = LalrAnalysis::compute_with(&grammar, &lr0, par);
+    let analysis = LalrAnalysis::compute(&grammar, &lr0);
     let table = build_table(
         &grammar,
         &lr0,
@@ -413,6 +412,7 @@ fn cmd_codegen(args: &[String], par: &Parallelism) -> Result<String, CliError> {
 }
 
 fn cmd_sentences(args: &[String]) -> Result<String, CliError> {
+    no_flags("sentences", args)?;
     let name = grammar_arg(args, "sentences")?;
     let grammar = load_grammar(name)?;
     let count: usize = args
@@ -434,7 +434,8 @@ fn cmd_sentences(args: &[String]) -> Result<String, CliError> {
 /// Runs a case file: each non-comment line is `+ tokens…` (must accept)
 /// or `- tokens…` (must reject); tokens are whitespace-separated terminal
 /// names. Exit is nonzero when any case fails.
-fn cmd_check(args: &[String], par: &Parallelism) -> Result<String, CliError> {
+fn cmd_check(args: &[String]) -> Result<String, CliError> {
+    no_flags("check", args)?;
     let name = grammar_arg(args, "check")?;
     let grammar = load_grammar(name)?;
     let cases_path = args
@@ -444,7 +445,7 @@ fn cmd_check(args: &[String], par: &Parallelism) -> Result<String, CliError> {
         .map_err(|e| fail(format!("cannot read {cases_path:?}: {e}")))?;
 
     let lr0 = Lr0Automaton::build(&grammar);
-    let analysis = LalrAnalysis::compute_with(&grammar, &lr0, par);
+    let analysis = LalrAnalysis::compute(&grammar, &lr0);
     let table = build_table(
         &grammar,
         &lr0,
@@ -506,7 +507,7 @@ fn cmd_check(args: &[String], par: &Parallelism) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn cmd_parse(args: &[String], par: &Parallelism) -> Result<String, CliError> {
+fn cmd_parse(args: &[String]) -> Result<String, CliError> {
     let name = grammar_arg(args, "parse")?;
     let input = args
         .get(1)
@@ -532,9 +533,11 @@ fn cmd_parse(args: &[String], par: &Parallelism) -> Result<String, CliError> {
                 i += 2;
             }
             other => {
-                return Err(fail(format!(
-                    "unknown flag {other:?} for parse (available: --number, --ident, --string, --remote, --addr)"
-                )))
+                return Err(unknown_flag(
+                    "parse",
+                    other,
+                    "--number, --ident, --string, --remote, --addr",
+                ))
             }
         }
     }
@@ -551,7 +554,7 @@ fn cmd_parse(args: &[String], par: &Parallelism) -> Result<String, CliError> {
 
     let grammar = load_grammar(name)?;
     let lr0 = Lr0Automaton::build(&grammar);
-    let analysis = LalrAnalysis::compute_with(&grammar, &lr0, par);
+    let analysis = LalrAnalysis::compute(&grammar, &lr0);
     let table = build_table(
         &grammar,
         &lr0,
@@ -631,7 +634,7 @@ fn parse_remote(name: &str, input: &str, addr: &str) -> Result<String, CliError>
 /// allocator from `lalr-bench` is linked into this binary, so the alloc
 /// columns are real). `--trace-out FILE` additionally writes the run as
 /// Chrome trace JSON, loadable in `chrome://tracing` or Perfetto.
-fn cmd_profile(args: &[String], par: &Parallelism) -> Result<String, CliError> {
+fn cmd_profile(args: &[String]) -> Result<String, CliError> {
     let name = grammar_arg(args, "profile")?;
     let mut trace_out: Option<&str> = None;
     let mut i = 1;
@@ -641,11 +644,7 @@ fn cmd_profile(args: &[String], par: &Parallelism) -> Result<String, CliError> {
                 trace_out = Some(flag_value(args, i, "--trace-out")?);
                 i += 2;
             }
-            other => {
-                return Err(fail(format!(
-                    "unknown flag {other:?} for profile (available: --trace-out, --threads)"
-                )))
-            }
+            other => return Err(unknown_flag("profile", other, "--trace-out")),
         }
     }
 
@@ -656,17 +655,16 @@ fn cmd_profile(args: &[String], par: &Parallelism) -> Result<String, CliError> {
         load_grammar(name)?
     };
     let lr0 = Lr0Automaton::build_recorded(&grammar, &rec);
-    let analysis = LalrAnalysis::compute_recorded(&grammar, &lr0, par, &rec);
+    let analysis = LalrAnalysis::compute_recorded(&grammar, &lr0, &rec);
     let wall_ns = (wall.elapsed().as_nanos() as u64).max(1);
     let report = rec.report();
 
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "profile {name}: {} lr0 states, {} reduction look-ahead sets, {} worker thread(s)",
+        "profile {name}: {} lr0 states, {} reduction look-ahead sets",
         lr0.state_count(),
         analysis.lookaheads().reduction_count(),
-        par.threads().max(1),
     );
     out.push_str(&report.to_text());
     let coverage = 100.0 * report.phase_sum_ns() as f64 / wall_ns as f64;
@@ -726,7 +724,7 @@ fn grammar_text(arg: &str) -> Result<(String, lalr_service::GrammarFormat), CliE
 /// `shutdown` request (or a bind error). The bound address is announced
 /// on stderr immediately — with `--addr 127.0.0.1:0` that line is how
 /// callers learn the picked port.
-fn cmd_serve(args: &[String], par: &Parallelism) -> Result<String, CliError> {
+fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     const FLAGS: &str = "--addr, --cache-mb, --max-conn, --deadline-ms, --max-pending, \
                          --drain-ms, --chaos, --chaos-seed, --store, --no-store, \
                          --shards, --threaded, --trace-sample, --trace-capacity, \
@@ -746,6 +744,7 @@ fn cmd_serve(args: &[String], par: &Parallelism) -> Result<String, CliError> {
     let mut threaded = false;
     let mut trace_sample: u64 = 1;
     let mut trace_capacity: usize = 256;
+    let mut workers: Option<usize> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -764,6 +763,9 @@ fn cmd_serve(args: &[String], par: &Parallelism) -> Result<String, CliError> {
                 store_dir = Some(std::path::PathBuf::from(flag_value(args, i, "--store")?))
             }
             "--shards" => shards = num_flag(flag_value(args, i, "--shards")?, "--shards")?,
+            "--threads" => {
+                workers = Some(num_flag(flag_value(args, i, "--threads")?, "--threads")?)
+            }
             "--trace-sample" => {
                 trace_sample = num_flag(flag_value(args, i, "--trace-sample")?, "--trace-sample")?
             }
@@ -822,11 +824,7 @@ fn cmd_serve(args: &[String], par: &Parallelism) -> Result<String, CliError> {
                     "--reject-timeout-ms",
                 )?)
             }
-            other => {
-                return Err(fail(format!(
-                    "unknown flag {other:?} for serve (available: {FLAGS})"
-                )))
-            }
+            other => return Err(unknown_flag("serve", other, FLAGS)),
         }
         i += 2;
     }
@@ -841,12 +839,8 @@ fn cmd_serve(args: &[String], par: &Parallelism) -> Result<String, CliError> {
         config.service.faults = faults;
     }
     // `--threads` sizes the worker pool; without it a server uses every
-    // core (unlike the one-shot commands, which default to sequential).
-    config.service.workers = if par.is_parallel() {
-        *par
-    } else {
-        Parallelism::available()
-    };
+    // core.
+    config.service.workers = workers.map_or_else(Parallelism::available, Parallelism::new);
     config.service.cache =
         (cache_mb > 0).then(|| lalr_service::CacheConfig::with_budget(cache_mb << 20));
     config.service.default_deadline = deadline_ms.map(std::time::Duration::from_millis);
@@ -855,7 +849,7 @@ fn cmd_serve(args: &[String], par: &Parallelism) -> Result<String, CliError> {
     config.service.store_dir = if no_store { None } else { store_dir };
     // The served daemon arms the flight recorder by default (the
     // library default stays off); `--trace-sample 0` turns it off.
-    config.service.tracing = (trace_sample > 0).then(|| lalr_service::TraceConfig {
+    config.service.tracing = (trace_sample > 0).then_some(lalr_service::TraceConfig {
         capacity: trace_capacity,
         sample_every: trace_sample,
     });
@@ -903,11 +897,7 @@ fn cmd_store(args: &[String]) -> Result<String, CliError> {
             "--max-age-s" => {
                 max_age_s = num_flag(flag_value(rest, i, "--max-age-s")?, "--max-age-s")?
             }
-            other => {
-                return Err(fail(format!(
-                    "unknown flag {other:?} for store (available: {FLAGS})"
-                )))
-            }
+            other => return Err(unknown_flag("store", other, FLAGS)),
         }
         i += 2;
     }
@@ -1030,11 +1020,7 @@ fn cmd_client(args: &[String]) -> Result<String, CliError> {
                 backoff_ms = num_flag(flag_value(args, i, "--backoff-ms")?, "--backoff-ms")?;
                 i += 2;
             }
-            other if other.starts_with("--") => {
-                return Err(fail(format!(
-                    "unknown flag {other:?} for client (available: {FLAGS})"
-                )))
-            }
+            other if other.starts_with("--") => return Err(unknown_flag("client", other, FLAGS)),
             other => {
                 positional.push(other);
                 i += 1;
@@ -1199,11 +1185,7 @@ fn cmd_trace(args: &[String]) -> Result<String, CliError> {
             "--timeout-ms" => {
                 timeout_ms = num_flag(flag_value(args, i, "--timeout-ms")?, "--timeout-ms")?
             }
-            other => {
-                return Err(fail(format!(
-                    "unknown flag {other:?} for trace (available: {FLAGS})"
-                )))
-            }
+            other => return Err(unknown_flag("trace", other, FLAGS)),
         }
         i += 2;
     }
@@ -1407,11 +1389,7 @@ fn cmd_top(args: &[String]) -> Result<String, CliError> {
             "--timeout-ms" => {
                 timeout_ms = num_flag(flag_value(args, i, "--timeout-ms")?, "--timeout-ms")?
             }
-            other => {
-                return Err(fail(format!(
-                    "unknown flag {other:?} for top (available: {FLAGS})"
-                )))
-            }
+            other => return Err(unknown_flag("top", other, FLAGS)),
         }
         i += 2;
     }
@@ -1462,6 +1440,7 @@ mod tests {
     #[test]
     fn unknown_flags_list_the_available_ones() {
         let err = run_strs(&["parse", "expr", "1", "--wat", "x"]).unwrap_err();
+        assert_eq!(err.code, 2);
         assert!(
             err.message.contains("available: --number"),
             "{}",
@@ -1613,19 +1592,41 @@ mod tests {
     }
 
     #[test]
-    fn threads_flag_does_not_change_output() {
-        for cmd in ["analyze", "classify", "states", "table"] {
-            let seq = run_strs(&[cmd, "expr"]).unwrap();
-            let par = run_strs(&[cmd, "expr", "--threads", "4"]).unwrap();
-            assert_eq!(seq, par, "{cmd} output must not depend on --threads");
+    fn one_shot_commands_reject_threads_flag() {
+        for cmd in [
+            "analyze",
+            "explain",
+            "classify",
+            "states",
+            "table",
+            "dot",
+            "codegen",
+            "sentences",
+            "check",
+            "profile",
+        ] {
+            let err = run_strs(&[cmd, "expr", "--threads", "4"]).unwrap_err();
+            assert_eq!(err.code, 2, "{cmd}: {}", err.message);
+            assert!(
+                err.message.starts_with(&format!(
+                    "unknown flag \"--threads\" for {cmd} (available: "
+                )),
+                "{cmd}: {}",
+                err.message
+            );
         }
-        // The flag is position-independent and validated.
-        let out = run_strs(&["--threads", "2", "classify", "expr"]).unwrap();
-        assert!(out.contains("SLR(1)"), "{out}");
-        let err = run_strs(&["classify", "expr", "--threads", "lots"]).unwrap_err();
-        assert!(err.message.contains("bad thread count"), "{}", err.message);
-        let err = run_strs(&["classify", "expr", "--threads"]).unwrap_err();
-        assert!(err.message.contains("needs a count"), "{}", err.message);
+        let err = run_strs(&["parse", "expr", "NUM", "--threads", "4"]).unwrap_err();
+        assert_eq!(err.code, 2, "{}", err.message);
+        assert!(
+            err.message
+                .starts_with("unknown flag \"--threads\" for parse"),
+            "{}",
+            err.message
+        );
+        // Before the command it is no command at all.
+        let err = run_strs(&["--threads", "2", "classify", "expr"]).unwrap_err();
+        assert_eq!(err.code, 2, "{}", err.message);
+        assert!(err.message.contains("unknown command"), "{}", err.message);
     }
 
     #[test]

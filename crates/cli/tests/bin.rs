@@ -96,14 +96,14 @@ fn serve_rejects_a_malformed_chaos_spec_naming_the_problem() {
 #[test]
 fn unknown_flag_lists_include_the_resilience_flags() {
     let out = lalrgen(&["serve", "--bogus"]);
-    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--chaos"), "{stderr}");
     assert!(stderr.contains("--drain-ms"), "{stderr}");
     assert!(stderr.contains("--max-pending"), "{stderr}");
 
     let out = lalrgen(&["client", "compile", "expr", "--bogus"]);
-    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--retries"), "{stderr}");
     assert!(stderr.contains("--backoff-ms"), "{stderr}");

@@ -113,113 +113,60 @@ fn lr1_conflicts(grammar: &Grammar, lr1: &Lr1Automaton) -> usize {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn classify(grammar: &Grammar) -> MethodAdequacy {
-    classify_with(grammar, &crate::Parallelism::sequential())
-}
-
-/// Like [`classify`], but when more than one thread is configured the five
-/// methods run concurrently: the canonical-LR(1) build, the LR(0)/SLR/
-/// NQLALR baselines and the DeRemer–Pennello analysis are independent, so
-/// each gets its own scoped thread. Counts and classification are
-/// identical to the sequential run.
-pub fn classify_with(grammar: &Grammar, parallelism: &crate::Parallelism) -> MethodAdequacy {
     let lr0 = Lr0Automaton::build(grammar);
-    let analysis = LalrAnalysis::compute_with(grammar, &lr0, parallelism);
-    classify_from(grammar, &lr0, &analysis, parallelism)
-}
-
-/// Recorded analogue of [`classify_from`]: each of the five methods runs
-/// inside its own span (`classify.lr0`, `classify.slr`,
-/// `classify.nqlalr`, `classify.lr1`, `classify.lalr`). Under the
-/// parallel fan the method spans land on their worker threads, which
-/// per-thread span stacks keep well-nested.
-pub fn classify_recorded(
-    grammar: &Grammar,
-    lr0: &Lr0Automaton,
-    analysis: &LalrAnalysis,
-    parallelism: &crate::Parallelism,
-    rec: &dyn lalr_obs::Recorder,
-) -> MethodAdequacy {
-    classify_inner(grammar, lr0, analysis, parallelism, rec)
+    let analysis = LalrAnalysis::compute(grammar, &lr0);
+    classify_recorded(grammar, &lr0, &analysis, &lalr_obs::NULL)
 }
 
 /// Classifies from a prebuilt LR(0) automaton and DeRemer–Pennello
 /// analysis, running only the remaining four methods (LR(0)/SLR/NQLALR
 /// baselines and the canonical-LR(1) build). This is what `lalr-service`
 /// uses so a cached compile never recomputes the automaton or the
-/// look-ahead sets; [`classify_with`] is now a thin wrapper over it and
-/// the counts are identical either way.
+/// look-ahead sets; the counts equal [`classify`]'s.
+///
+/// The `&Parallelism` argument does nothing: classification runs on the
+/// calling thread. It stays because the `perfbench` harness calls this
+/// signature.
 pub fn classify_from(
     grammar: &Grammar,
     lr0: &Lr0Automaton,
     analysis: &LalrAnalysis,
-    parallelism: &crate::Parallelism,
+    _parallelism: &crate::Parallelism,
 ) -> MethodAdequacy {
-    classify_inner(grammar, lr0, analysis, parallelism, &lalr_obs::NULL)
+    classify_recorded(grammar, lr0, analysis, &lalr_obs::NULL)
 }
 
-fn classify_inner(
+/// Recorded analogue of [`classify_from`]: each of the five methods runs
+/// inside its own span (`classify.lr0`, `classify.slr`,
+/// `classify.nqlalr`, `classify.lr1`, `classify.lalr`).
+pub fn classify_recorded(
     grammar: &Grammar,
     lr0: &Lr0Automaton,
     analysis: &LalrAnalysis,
-    parallelism: &crate::Parallelism,
     rec: &dyn lalr_obs::Recorder,
 ) -> MethodAdequacy {
-    let (lr0_c, slr_c, nq_c, lr1_c);
-    if parallelism.is_parallel() {
-        (lr0_c, slr_c, nq_c, lr1_c) = std::thread::scope(|scope| {
-            let lr1_h = scope.spawn(move || {
-                let _span = lalr_obs::span(rec, "classify.lr1");
-                let lr1 = Lr1Automaton::build(grammar);
-                lr1_conflicts(grammar, &lr1)
-            });
-            let lr0_h = scope.spawn(move || {
-                let _span = lalr_obs::span(rec, "classify.lr0");
-                find_conflicts(grammar, lr0, &lr0_lookaheads(grammar, lr0)).len()
-            });
-            let slr_h = scope.spawn(move || {
-                let _span = lalr_obs::span(rec, "classify.slr");
-                find_conflicts(grammar, lr0, &slr_lookaheads(grammar, lr0)).len()
-            });
-            let nq_c = {
-                let _span = lalr_obs::span(rec, "classify.nqlalr");
-                find_conflicts(
-                    grammar,
-                    lr0,
-                    NqlalrAnalysis::compute(grammar, lr0).lookaheads(),
-                )
-                .len()
-            };
-            (
-                lr0_h.join().expect("lr0 baseline panicked"),
-                slr_h.join().expect("slr baseline panicked"),
-                nq_c,
-                lr1_h.join().expect("lr1 build panicked"),
-            )
-        });
-    } else {
-        lr1_c = {
-            let _span = lalr_obs::span(rec, "classify.lr1");
-            let lr1 = Lr1Automaton::build(grammar);
-            lr1_conflicts(grammar, &lr1)
-        };
-        lr0_c = {
-            let _span = lalr_obs::span(rec, "classify.lr0");
-            find_conflicts(grammar, lr0, &lr0_lookaheads(grammar, lr0)).len()
-        };
-        slr_c = {
-            let _span = lalr_obs::span(rec, "classify.slr");
-            find_conflicts(grammar, lr0, &slr_lookaheads(grammar, lr0)).len()
-        };
-        nq_c = {
-            let _span = lalr_obs::span(rec, "classify.nqlalr");
-            find_conflicts(
-                grammar,
-                lr0,
-                NqlalrAnalysis::compute(grammar, lr0).lookaheads(),
-            )
-            .len()
-        };
-    }
+    let lr1_c = {
+        let _span = lalr_obs::span(rec, "classify.lr1");
+        let lr1 = Lr1Automaton::build(grammar);
+        lr1_conflicts(grammar, &lr1)
+    };
+    let lr0_c = {
+        let _span = lalr_obs::span(rec, "classify.lr0");
+        find_conflicts(grammar, lr0, &lr0_lookaheads(grammar, lr0)).len()
+    };
+    let slr_c = {
+        let _span = lalr_obs::span(rec, "classify.slr");
+        find_conflicts(grammar, lr0, &slr_lookaheads(grammar, lr0)).len()
+    };
+    let nq_c = {
+        let _span = lalr_obs::span(rec, "classify.nqlalr");
+        find_conflicts(
+            grammar,
+            lr0,
+            NqlalrAnalysis::compute(grammar, lr0).lookaheads(),
+        )
+        .len()
+    };
     let lalr_c = {
         let _span = lalr_obs::span(rec, "classify.lalr");
         analysis.conflicts(grammar, lr0).len()

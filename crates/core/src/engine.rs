@@ -2,13 +2,12 @@
 
 use lalr_automata::{Lr0Automaton, NtTransId};
 use lalr_bitset::{BitMatrix, BitSet};
-use lalr_digraph::{digraph, digraph_levels, digraph_levels_recorded, DigraphStats, Graph};
+use lalr_digraph::{digraph, digraph_counting, DigraphStats, Graph};
 use lalr_grammar::Grammar;
 use lalr_obs::Recorder;
 
 use crate::conflicts::{find_conflicts, Conflict};
 use crate::lookahead::LookaheadSets;
-use crate::parallel::Parallelism;
 use crate::relations::{RelationStats, Relations};
 
 /// The result of running the paper's algorithm: `Read`, `Follow` and `LA`
@@ -43,40 +42,36 @@ pub struct LalrAnalysis {
 impl LalrAnalysis {
     /// Runs the complete computation: relations → `Read` → `Follow` → `LA`.
     pub fn compute(grammar: &Grammar, lr0: &Lr0Automaton) -> LalrAnalysis {
-        LalrAnalysis::compute_with(grammar, lr0, &Parallelism::sequential())
+        LalrAnalysis::compute_recorded(grammar, lr0, &lalr_obs::NULL)
     }
 
-    /// Runs the complete computation with the configured thread count.
-    ///
-    /// The relation build shards its per-transition loops and the two
-    /// Digraph passes run level-scheduled over the condensation
-    /// ([`lalr_digraph::digraph_levels`]); the resulting `Read`, `Follow`
-    /// and `LA` sets are bit-identical to the sequential pipeline's.
-    pub fn compute_with(
-        grammar: &Grammar,
-        lr0: &Lr0Automaton,
-        parallelism: &Parallelism,
-    ) -> LalrAnalysis {
-        LalrAnalysis::compute_recorded(grammar, lr0, parallelism, &lalr_obs::NULL)
-    }
-
-    /// [`LalrAnalysis::compute_with`] under an observer.
+    /// [`LalrAnalysis::compute`] under an observer.
     ///
     /// Phases are bracketed by spans (`relations.build`,
     /// `digraph.reads`, `digraph.includes`, `la.union`,
     /// `relations.stats`) and, when the recorder is enabled, the
-    /// structural pipeline counters (relation edges, SCC counts, level
-    /// widths, bitset OR operations, LA unions) are reported. With the
-    /// null recorder this is exactly [`LalrAnalysis::compute_with`] —
-    /// the enabled checks compile down to one indirect call per phase.
+    /// structural pipeline counters (relation edges, SCC counts, bitset
+    /// OR operations, LA unions) are reported. Recording never changes
+    /// what runs: both cases take the same Digraph traversal.
     pub fn compute_recorded(
         grammar: &Grammar,
         lr0: &Lr0Automaton,
-        parallelism: &Parallelism,
         rec: &dyn Recorder,
     ) -> LalrAnalysis {
-        let relations = Relations::build_parallel_recorded(grammar, lr0, parallelism, rec);
-        LalrAnalysis::from_relations_recorded(grammar, lr0, &relations, parallelism, rec)
+        let relations = {
+            let _span = lalr_obs::span(rec, "relations.build");
+            let relations = Relations::build(grammar, lr0);
+            if rec.is_enabled() {
+                let (reads, includes) = (relations.reads(), relations.includes());
+                rec.add("relations.nodes", reads.node_count() as u64);
+                rec.add("relations.reads_edges", reads.edge_count() as u64);
+                rec.add("relations.includes_edges", includes.edge_count() as u64);
+                let lookback: usize = relations.lookback_entries().map(|(_, r)| r.len()).sum();
+                rec.add("relations.lookback_edges", lookback as u64);
+            }
+            relations
+        };
+        LalrAnalysis::from_relations_recorded(grammar, lr0, &relations, rec)
     }
 
     /// Runs the Digraph phases over prebuilt relations (lets benchmarks
@@ -86,50 +81,33 @@ impl LalrAnalysis {
         lr0: &Lr0Automaton,
         relations: &Relations,
     ) -> LalrAnalysis {
-        LalrAnalysis::from_relations_with(grammar, lr0, relations, &Parallelism::sequential())
+        LalrAnalysis::from_relations_recorded(grammar, lr0, relations, &lalr_obs::NULL)
     }
 
-    /// Parallel analogue of [`LalrAnalysis::from_relations`].
-    pub fn from_relations_with(
-        grammar: &Grammar,
-        lr0: &Lr0Automaton,
-        relations: &Relations,
-        parallelism: &Parallelism,
-    ) -> LalrAnalysis {
-        LalrAnalysis::from_relations_recorded(grammar, lr0, relations, parallelism, &lalr_obs::NULL)
-    }
-
-    /// Recorded analogue of [`LalrAnalysis::from_relations_with`]; see
+    /// Recorded analogue of [`LalrAnalysis::from_relations`]; see
     /// [`LalrAnalysis::compute_recorded`] for the span and counter
     /// vocabulary.
     pub fn from_relations_recorded(
         grammar: &Grammar,
         lr0: &Lr0Automaton,
         relations: &Relations,
-        parallelism: &Parallelism,
         rec: &dyn Recorder,
     ) -> LalrAnalysis {
-        let threads = parallelism.threads();
-
         // One Digraph pass under a named span. When the recorder is
-        // enabled the counting traversal runs instead (identical result,
-        // plus union/level tallies reported under `prefix.*` counters).
+        // enabled the counting adapter tallies the same traversal's
+        // unions, reported under `prefix.*` counters.
         let traverse = |graph: &Graph,
                         sets: &mut BitMatrix,
                         name: &'static str,
-                        counters: &[&'static str; 4]|
+                        counters: &[&'static str; 2]|
          -> DigraphStats {
             let _span = lalr_obs::span(rec, name);
             if rec.is_enabled() {
-                let report = digraph_levels_recorded(graph, sets, threads, rec);
-                let [unions, sccs, levels, width] = *counters;
-                rec.add(unions, report.counts.unions);
-                rec.add(sccs, report.stats.scc_count as u64);
-                rec.add(levels, report.levels as u64);
-                rec.add(width, report.max_width as u64);
-                report.stats
-            } else if threads > 1 {
-                digraph_levels(graph, sets, threads)
+                let (stats, counts) = digraph_counting(graph, sets);
+                let [unions, sccs] = *counters;
+                rec.add(unions, counts.unions);
+                rec.add(sccs, stats.scc_count as u64);
+                stats
             } else {
                 digraph(graph, sets)
             }
@@ -141,12 +119,7 @@ impl LalrAnalysis {
             relations.reads(),
             &mut read,
             "digraph.reads",
-            &[
-                "digraph.reads.or_ops",
-                "digraph.reads.sccs",
-                "digraph.reads.levels",
-                "digraph.reads.max_level_width",
-            ],
+            &["digraph.reads.or_ops", "digraph.reads.sccs"],
         );
 
         // Phase 2: Follow = Digraph(includes, Read).
@@ -155,12 +128,7 @@ impl LalrAnalysis {
             relations.includes(),
             &mut follow,
             "digraph.includes",
-            &[
-                "digraph.includes.or_ops",
-                "digraph.includes.sccs",
-                "digraph.includes.levels",
-                "digraph.includes.max_level_width",
-            ],
+            &["digraph.includes.or_ops", "digraph.includes.sccs"],
         );
 
         // Phase 3: LA(q, A→ω) = ⋃ Follow(p, A) over lookback. Pure dense
@@ -174,8 +142,7 @@ impl LalrAnalysis {
         );
         // Collect the lookback edges as (reduction row, Follow row) ops
         // and hand them to the batched kernel lane, which tiles the LA
-        // matrix to L2 and loads each hot Follow row once per tile (and
-        // fans out across threads when the op list is large enough).
+        // matrix to L2 and loads each hot Follow row once per tile.
         let mut la_reductions = 0u64;
         let mut la_ops: Vec<(u32, u32)> = Vec::new();
         for (rid, transitions) in relations.lookback_entries() {
@@ -185,7 +152,7 @@ impl LalrAnalysis {
                 la_ops.push((rid.index() as u32, t.index() as u32));
             }
         }
-        let la_unions = la.union_rows_batch(&mut la_ops, &follow, threads);
+        let la_unions = la.union_rows_batch(&mut la_ops, &follow);
         // The augmented production has no lookback (no transition ever reads
         // `<start>`); its "reduction" is the accept action on $.
         la.insert(

@@ -53,13 +53,10 @@ mod relations;
 mod selective;
 mod slr;
 
-pub use classify::{
-    classify, classify_from, classify_recorded, classify_with, GrammarClass, MethodAdequacy,
-};
+pub use classify::{classify, classify_from, classify_recorded, GrammarClass, MethodAdequacy};
 pub use conflicts::{find_conflicts, Conflict, ConflictKind};
 pub use engine::LalrAnalysis;
 pub use explain::{explain_conflict, viable_prefix};
-pub use lalr_bitset::{dispatch_name as kernel_dispatch_name, simd_compiled, RowLayout};
 pub use lalr_digraph::DigraphStats;
 pub use lookahead::LookaheadSets;
 pub use nqlalr::NqlalrAnalysis;

@@ -145,48 +145,40 @@ fn selective_agrees_with_full_on_corpus_and_random() {
 }
 
 /// The dense-layout differential: on every corpus grammar, all five
-/// methods must tell the same story no matter how many threads the
-/// DeRemer–Pennello pipeline uses — parallel DP is bit-identical to
-/// sequential DP, both match yacc-style propagation and the merged-LR(1)
-/// oracle exactly, and SLR/NQLALR remain supersets. This pins down the
-/// dense `LookaheadSets` rows and the CSR lookback slab (including the
-/// sharded parallel merge) as result-identical representations.
+/// methods must tell the same story — DP matches yacc-style propagation
+/// and the merged-LR(1) oracle exactly, and SLR/NQLALR remain supersets.
+/// This pins down the dense `LookaheadSets` rows and the CSR lookback
+/// slab as result-identical representations.
 #[test]
-fn corpus_methods_agree_across_thread_counts() {
-    use lalr_core::Parallelism;
+fn corpus_methods_agree() {
     for entry in lalr_corpus::all_entries() {
         let name = entry.name;
         let g = entry.grammar();
         let lr0 = Lr0Automaton::build(&g);
-        let seq = dp(&g, &lr0);
+        let dp_la = dp(&g, &lr0);
         let prop_la = propagation_lookaheads(&g, &lr0);
         let slr = lalr_core::slr_lookaheads(&g, &lr0);
         let nq = lalr_core::NqlalrAnalysis::compute(&g, &lr0).into_lookaheads();
         let merge_la = oracle(&g, &lr0);
-        for threads in [1usize, 2, 4, 8] {
-            let par =
-                LalrAnalysis::compute_with(&g, &lr0, &Parallelism::new(threads)).into_lookaheads();
-            assert_eq!(par, seq, "{name}: parallel({threads}) DP vs sequential DP");
-            assert_eq!(par, prop_la, "{name}: DP({threads}) vs propagation");
-            for ((state, prod), set) in merge_la.iter() {
-                assert_eq!(
-                    par.la(state, prod),
-                    Some(set),
-                    "{name}: DP({threads}) vs merged LR(1) at ({}, {})",
-                    state.index(),
-                    prod.index()
-                );
+        assert_eq!(dp_la, prop_la, "{name}: DP vs propagation");
+        for ((state, prod), set) in merge_la.iter() {
+            assert_eq!(
+                dp_la.la(state, prod),
+                Some(set),
+                "{name}: DP vs merged LR(1) at ({}, {})",
+                state.index(),
+                prod.index()
+            );
+        }
+        for ((state, prod), set) in dp_la.iter() {
+            if prod == ProdId::START {
+                continue;
             }
-            for ((state, prod), set) in par.iter() {
-                if prod == ProdId::START {
-                    continue;
-                }
-                if let Some(s) = slr.la(state, prod) {
-                    assert!(set.is_subset(s), "{name}: SLR ⊇ DP({threads})");
-                }
-                if let Some(s) = nq.la(state, prod) {
-                    assert!(set.is_subset(s), "{name}: NQLALR ⊇ DP({threads})");
-                }
+            if let Some(s) = slr.la(state, prod) {
+                assert!(set.is_subset(s), "{name}: SLR ⊇ DP");
+            }
+            if let Some(s) = nq.la(state, prod) {
+                assert!(set.is_subset(s), "{name}: NQLALR ⊇ DP");
             }
         }
     }

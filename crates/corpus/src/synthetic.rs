@@ -157,10 +157,10 @@ pub fn includes_scc(n: usize) -> Grammar {
 
 /// `n` independent expression sub-grammars under one root — the `includes`
 /// condensation is a wide forest (every sub-grammar is its own weakly
-/// connected component hanging off the root transition), so the
-/// level-scheduled Digraph traversal sees levels that are `n` components
-/// wide. This is the stress case for *parallel* traversal, complementing
-/// [`chain`] (deep and narrow) and [`includes_scc`] (one big component).
+/// connected component hanging off the root transition), and each
+/// sub-grammar brings four terminals, so large `n` gives wide multi-word
+/// look-ahead rows. Complements [`chain`] (deep and narrow) and
+/// [`includes_scc`] (one big component).
 ///
 /// # Panics
 ///
@@ -358,17 +358,15 @@ mod tests {
     }
 
     #[test]
-    fn wide_forest_condensation_has_wide_levels() {
-        use lalr_digraph::LevelSchedule;
-        let n = 12;
-        let g = wide_forest(n);
-        let lr0 = lalr_automata::Lr0Automaton::build(&g);
-        let includes = lalr_core_free_includes(&g, &lr0);
-        let schedule = LevelSchedule::of(&includes);
-        assert!(
-            schedule.max_width() >= n,
-            "a level should be at least {n} components wide, widest is {}",
-            schedule.max_width()
+    fn wide_forest_1024_needs_65_word_rows() {
+        // The scaling benchmark uses this family for its wide rows: four
+        // terminals per sub-grammar plus `$` put every LA row on the
+        // multi-word lane.
+        let g = wide_forest(1024);
+        assert_eq!(g.terminal_count(), 4097);
+        assert_eq!(
+            lalr_bitset::RowLayout::select(g.terminal_count()),
+            lalr_bitset::RowLayout::MultiWord { words: 65 }
         );
     }
 

@@ -15,8 +15,8 @@
 //! provides:
 //!
 //! * [`Graph`] — a compact adjacency-list digraph.
-//! * [`digraph`] / [`digraph_on`] — the paper's algorithm over
-//!   [`lalr_bitset::BitMatrix`] rows.
+//! * [`digraph`] / [`digraph_from_on`] — the paper's algorithm over
+//!   [`lalr_bitset::BitMatrix`] rows or any [`UnionSets`] store.
 //! * [`naive_closure`] — the quadratic reference implementation (repeated
 //!   relaxation until fixpoint) used by the ablation benchmark **E6**.
 //! * [`tarjan_scc`] / [`Condensation`] — explicit SCC computation, used for
@@ -45,19 +45,15 @@
 
 mod condensation;
 mod graph;
-mod levels;
 mod naive;
 mod tarjan;
 mod traversal;
 
 pub use condensation::Condensation;
 pub use graph::Graph;
-pub use levels::{
-    digraph_levels, digraph_levels_recorded, digraph_with_schedule, LevelSchedule, TraversalReport,
-};
 pub use naive::naive_closure;
 pub use tarjan::{tarjan_scc, SccInfo};
 pub use traversal::{
-    digraph, digraph_counting, digraph_from, digraph_from_on, digraph_on, DigraphStats,
-    TraversalCounts, UnionSets,
+    digraph, digraph_counting, digraph_from, digraph_from_on, DigraphStats, TraversalCounts,
+    UnionSets,
 };

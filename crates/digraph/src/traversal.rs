@@ -32,11 +32,9 @@ pub trait UnionSets {
     fn assign(&mut self, dst: usize, src: usize);
 }
 
-/// Both operations bottom out in `lalr_bitset::kernels` — the same
-/// width-dispatched row kernels the level-scheduled parallel sweep uses
-/// — so the sequential and parallel lanes share one optimization
-/// surface (and `assign` is a straight row copy with no temporary
-/// allocation).
+/// Both operations bottom out in the width-dispatched row kernels of
+/// `lalr_bitset::kernels` (and `assign` is a straight row copy with no
+/// temporary allocation).
 impl UnionSets for BitMatrix {
     fn union(&mut self, dst: usize, src: usize) {
         self.union_rows(dst, src);
@@ -114,7 +112,7 @@ pub fn digraph_counting(graph: &Graph, sets: &mut BitMatrix) -> (DigraphStats, T
         inner: sets,
         counts: TraversalCounts::default(),
     };
-    let stats = digraph_on(graph, &mut counting);
+    let stats = digraph_from_on(graph, &mut counting, 0..graph.node_count());
     (stats, counting.counts)
 }
 
@@ -148,14 +146,6 @@ pub fn digraph(graph: &Graph, sets: &mut BitMatrix) -> DigraphStats {
         graph.node_count(),
         "one set row is required per graph node"
     );
-    digraph_on(graph, sets)
-}
-
-/// Runs the Digraph algorithm over any [`UnionSets`] store.
-///
-/// This is the generic entry point; see [`digraph`] for the bit-matrix
-/// convenience wrapper and an example.
-pub fn digraph_on<S: UnionSets>(graph: &Graph, sets: &mut S) -> DigraphStats {
     digraph_from_on(graph, sets, 0..graph.node_count())
 }
 
@@ -198,7 +188,9 @@ where
     digraph_from_on(graph, sets, roots)
 }
 
-/// Generic root-restricted traversal; see [`digraph_from`].
+/// Generic root-restricted traversal over any [`UnionSets`] store; see
+/// [`digraph_from`]. Pass `0..graph.node_count()` as `roots` for the full
+/// traversal.
 pub fn digraph_from_on<S, I>(graph: &Graph, sets: &mut S, roots: I) -> DigraphStats
 where
     S: UnionSets,

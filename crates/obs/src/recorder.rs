@@ -6,8 +6,7 @@
 /// Phase names and counter names are `&'static str` by contract: the
 /// instrumented code never formats or allocates a name, which is what
 /// keeps the disabled path allocation-free. Implementations must be
-/// `Sync` — the parallel Digraph scheduler and the classify thread fan
-/// record into one recorder from several threads at once.
+/// `Sync`, so one recorder can be shared by several threads.
 pub trait Recorder: Sync {
     /// Whether this recorder retains anything at all.
     ///

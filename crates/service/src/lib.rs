@@ -1,8 +1,7 @@
 //! `lalr-service` — a cached, concurrent grammar-compilation service.
 //!
-//! After PR 1 (parallel SCC-level pipeline) and PR 2 (dense-index memory
-//! layout) the DeRemer–Pennello engine was fast but only reachable as a
-//! one-shot library/CLI call: every caller paid the full cold
+//! The DeRemer–Pennello engine on its own is a one-shot library/CLI
+//! call: every caller pays the full cold
 //! grammar → LR(0) → Read/Follow → tables pipeline. This crate amortizes
 //! compilation across requests, the way production generators and
 //! tabular-parsing servers do, in three layers:

@@ -404,9 +404,8 @@ pub fn render(s: &StatsSnapshot) -> String {
         w,
         "lalr_build_info",
         &format!(
-            "shards=\"{}\",simd_dispatch=\"{}\",version=\"{}\"",
+            "shards=\"{}\",version=\"{}\"",
             s.shards.len(),
-            lalr_core::kernel_dispatch_name(),
             env!("CARGO_PKG_VERSION"),
         ),
         1,
@@ -673,7 +672,6 @@ mod tests {
             .find(|l| l.starts_with("lalr_build_info{"))
             .expect("build info sample");
         assert!(info.contains("version=\""), "{info}");
-        assert!(info.contains("simd_dispatch=\""), "{info}");
         assert!(info.contains("shards=\"0\""), "{info}");
         assert!(info.ends_with("} 1"), "{info}");
         assert!(text.contains("lalr_uptime_ms 1234"), "{text}");

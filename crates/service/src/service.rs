@@ -50,12 +50,9 @@ pub const PHASE_NAMES: [&str; 8] = [
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Size of the worker pool (the existing [`Parallelism`] config,
-    /// reused: one worker per configured thread).
+    /// Size of the worker pool. Each compile runs on one worker
+    /// thread; concurrency comes from the pool.
     pub workers: Parallelism,
-    /// Thread count for *each* compile pipeline run (usually sequential;
-    /// concurrency comes from the pool).
-    pub pipeline: Parallelism,
     /// Artifact cache configuration; `None` disables caching entirely
     /// (every request compiles — the load generator's cold arm).
     pub cache: Option<CacheConfig>,
@@ -124,7 +121,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             workers: Parallelism::available(),
-            pipeline: Parallelism::sequential(),
             cache: Some(CacheConfig::default()),
             max_request_bytes: 1 << 20,
             max_document_bytes: 256 << 10,
@@ -1527,7 +1523,6 @@ impl Inner {
         // key hashing, map probes, store I/O, waiting out another
         // thread's in-flight compile — is the cache stage.
         let resolve_started = trace.map(|_| Instant::now());
-        let pipeline = self.config.pipeline;
         // Graceful degradation gates the *pipeline*, not the lookup: a
         // degraded service still answers memory hits and verified store
         // loads (the closure never runs for those), and only a request
@@ -1542,7 +1537,7 @@ impl Inner {
                             "cold compile shed while degraded; retry after backoff".to_string(),
                         ));
                     }
-                    self.compile_observed(grammar, format, fp, &pipeline, trace)
+                    self.compile_observed(grammar, format, fp, trace)
                 });
                 result.map(|a| (a, outcome))
             }
@@ -1551,7 +1546,7 @@ impl Inner {
             )),
             None => {
                 let fp = crate::fingerprint::fx_fingerprint(&crate::fingerprint::normalize(&key));
-                self.compile_observed(grammar, format, fp, &pipeline, trace)
+                self.compile_observed(grammar, format, fp, trace)
                     .map(|a| (Arc::new(a), CacheOutcome::Compiled))
             }
         };
@@ -1570,7 +1565,6 @@ impl Inner {
         grammar: &str,
         format: GrammarFormat,
         fp: u64,
-        pipeline: &Parallelism,
         trace: Option<&ActiveTrace>,
     ) -> Result<CompiledArtifact, ServiceError> {
         // The compile-worker failpoint: a `panic` here unwinds into the
@@ -1589,7 +1583,7 @@ impl Inner {
         }
         let compile_started = trace.map(|_| Instant::now());
         let rec = CollectingRecorder::new();
-        let compiled = CompiledArtifact::compile_recorded(grammar, format, fp, pipeline, &rec);
+        let compiled = CompiledArtifact::compile_recorded(grammar, format, fp, &rec);
         for phase in &rec.report().phases {
             if let Some(i) = PHASE_NAMES.iter().position(|&n| n == phase.name) {
                 self.phase_calls[i].fetch_add(phase.calls, Ordering::Relaxed);
