@@ -1,10 +1,10 @@
-//! Idle-connection soak for the event-loop front end.
+//! Idle-connection soak for the event-loop daemon.
 //!
 //! Opens thousands of connections against an in-process [`EventDaemon`]
-//! and holds them idle, proving three things the thread-per-connection
-//! daemon cannot: per-connection memory stays flat (no thread stacks),
-//! the loop still serves real requests while holding them all, and a
-//! graceful drain closes every one cleanly (no aborts).
+//! and holds them idle, proving three things: per-connection memory
+//! stays flat (no thread stacks), the loop still serves real requests
+//! while holding them all, and a graceful drain closes every one
+//! cleanly (no aborts).
 //!
 //! ```text
 //! cargo run --release -p lalr-bench --bin idlesoak            # 10,000 connections

@@ -77,8 +77,8 @@ use lalr_chaos::{Fault, FaultPlan, Trigger};
 use lalr_core::Parallelism;
 use lalr_service::client::{call_with_retry, RetryPolicy};
 use lalr_service::{
-    call_with_breaker, CircuitBreaker, Daemon, DaemonConfig, EventDaemon, GrammarFormat,
-    ParseTarget, Request, Service, ServiceConfig,
+    call_with_breaker, CircuitBreaker, DaemonConfig, EventDaemon, GrammarFormat, ParseTarget,
+    Request, Service, ServiceConfig,
 };
 
 /// The request mix: for every corpus grammar one compile, one classify,
@@ -253,17 +253,20 @@ fn run_chaos_arm(
     per_thread: usize,
 ) -> ChaosArm {
     let faults = chaos_plan(rate, 0xC4A05);
-    let daemon = Daemon::start(DaemonConfig {
-        addr: "127.0.0.1:0".to_string(),
-        drain_deadline: Duration::from_secs(5),
-        faults: faults.clone(),
-        service: ServiceConfig {
-            workers: Parallelism::new(threads),
+    let daemon = EventDaemon::start(
+        DaemonConfig {
+            addr: "127.0.0.1:0".to_string(),
+            drain_deadline: Duration::from_secs(5),
             faults: faults.clone(),
-            ..ServiceConfig::default()
+            service: ServiceConfig {
+                workers: Parallelism::new(threads),
+                faults: faults.clone(),
+                ..ServiceConfig::default()
+            },
+            ..DaemonConfig::default()
         },
-        ..DaemonConfig::default()
-    })
+        1,
+    )
     .expect("bind loopback");
     let addr = daemon.addr().to_string();
 
@@ -549,52 +552,18 @@ fn parse_main(threads: usize, passes: usize, json_out: Option<&str>) {
     }
 }
 
-/// One daemon lifetime for the `--restart` harness: the epoll front
-/// end where the platform supports it, the thread-per-connection
-/// reference otherwise — both speak the same wire protocol, so the
-/// measurement code never cares which is running.
-enum RunningFront {
-    Threaded(Daemon),
-    Event(lalr_service::EventDaemon),
-}
-
-impl RunningFront {
-    fn start(workers: usize, store_dir: Option<std::path::PathBuf>) -> RunningFront {
-        let config = DaemonConfig {
-            addr: "127.0.0.1:0".to_string(),
-            service: ServiceConfig {
-                workers: Parallelism::new(workers),
-                store_dir,
-                ..ServiceConfig::default()
-            },
-            ..DaemonConfig::default()
-        };
-        if lalr_net::supported() {
-            RunningFront::Event(lalr_service::EventDaemon::start(config, 1).expect("bind loopback"))
-        } else {
-            RunningFront::Threaded(Daemon::start(config).expect("bind loopback"))
-        }
-    }
-
-    fn addr(&self) -> String {
-        match self {
-            RunningFront::Threaded(d) => d.addr().to_string(),
-            RunningFront::Event(d) => d.addr().to_string(),
-        }
-    }
-
-    fn finish(self) {
-        match self {
-            RunningFront::Threaded(d) => {
-                d.stop();
-                d.join();
-            }
-            RunningFront::Event(d) => {
-                d.stop();
-                d.join();
-            }
-        }
-    }
+/// One daemon lifetime for the `--restart` harness.
+fn start_restart_daemon(workers: usize, store_dir: Option<std::path::PathBuf>) -> EventDaemon {
+    let config = DaemonConfig {
+        addr: "127.0.0.1:0".to_string(),
+        service: ServiceConfig {
+            workers: Parallelism::new(workers),
+            store_dir,
+            ..ServiceConfig::default()
+        },
+        ..DaemonConfig::default()
+    };
+    EventDaemon::start(config, 1).expect("bind loopback")
 }
 
 /// Pulls an integer counter (`"key":N`) out of a raw response line.
@@ -636,13 +605,8 @@ fn restart_main(workers: usize, json_out: Option<&str>) {
         })
         .collect();
     eprintln!(
-        "loadgen --restart: {} corpus compiles per phase, {} front end",
-        requests.len(),
-        if lalr_net::supported() {
-            "event-loop"
-        } else {
-            "thread-per-connection"
-        }
+        "loadgen --restart: {} corpus compiles per phase",
+        requests.len()
     );
 
     println!("| arm | phase | requests | p50 (ms) | p99 (ms) |");
@@ -657,18 +621,19 @@ fn restart_main(workers: usize, json_out: Option<&str>) {
         let store_dir = with_store.then(|| dir.clone());
         let mut errors = 0u64;
 
-        let first = RunningFront::start(workers, store_dir.clone());
-        let addr = first.addr();
+        let first = start_restart_daemon(workers, store_dir.clone());
+        let addr = first.addr().to_string();
         let cold = timed_pass(&addr, &requests, &mut errors);
         let hits = timed_pass(&addr, &requests, &mut errors);
-        first.finish();
+        first.stop();
+        first.join();
 
         // The restart clock starts before the bind: time-to-first-warm
         // reply includes daemon startup, connect, and the disk load (or
         // recompile) of the first repeated fingerprint.
         let restart_started = Instant::now();
-        let second = RunningFront::start(workers, store_dir);
-        let addr = second.addr();
+        let second = start_restart_daemon(workers, store_dir);
+        let addr = second.addr().to_string();
         let first_reply = timed_pass(&addr, &requests[..1], &mut errors);
         let time_to_first = restart_started.elapsed();
         let rest = timed_pass(&addr, &requests[1..], &mut errors);
@@ -679,7 +644,8 @@ fn restart_main(workers: usize, json_out: Option<&str>) {
             lalr_service::client::call(&addr, &Request::Stats, None, Duration::from_secs(10))
                 .map(|r| r.raw)
                 .unwrap_or_default();
-        second.finish();
+        second.stop();
+        second.join();
 
         let mut phases_json: Vec<String> = Vec::new();
         for (phase, latencies) in [

@@ -88,16 +88,16 @@ pub const USAGE: &str = "usage: lalrgen <command> <grammar> [args]
          grammar -> LA pipeline; --trace-out writes a Chrome trace (chrome://tracing)
   serve  [--addr A] [--cache-mb N] [--max-conn N] [--deadline-ms N] [--max-pending N]
          [--drain-ms N] [--chaos SPEC] [--chaos-seed N] [--store DIR] [--no-store]
-         [--shards N] [--threaded] [--trace-sample N] [--trace-capacity N]
+         [--shards N] [--trace-sample N] [--trace-capacity N]
          [--max-conn-per-peer N] [--rate-limit N] [--rate-burst N]
          [--write-budget-ms N] [--reject-timeout-ms N] [--threads N]
-         run the compile daemon; --threads N sizes the worker pool
-         (default: one worker per core)
+         run the compile daemon (x86-64 Linux only: it needs the epoll
+         backend); --threads N sizes the worker pool (default: one worker
+         per core)
          --chaos arms deterministic failpoints, e.g. \"daemon.write:partial:0.05\"
          --store persists compiled artifacts to DIR (mmap-loaded on repeat
          requests, surviving restarts); --no-store wins over --store
-         --shards N multiplexes connections over N epoll event-loop shards;
-         --threaded selects the thread-per-connection reference front end
+         --shards N multiplexes connections over N epoll event-loop shards
          --trace-sample N records every Nth request in the flight recorder
          (default 1 = all; 0 disables tracing entirely); --trace-capacity N
          sizes the recorder ring (default 256, rounded up to a power of two)
@@ -727,7 +727,7 @@ fn grammar_text(arg: &str) -> Result<(String, lalr_service::GrammarFormat), CliE
 fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     const FLAGS: &str = "--addr, --cache-mb, --max-conn, --deadline-ms, --max-pending, \
                          --drain-ms, --chaos, --chaos-seed, --store, --no-store, \
-                         --shards, --threaded, --trace-sample, --trace-capacity, \
+                         --shards, --trace-sample, --trace-capacity, \
                          --max-conn-per-peer, --rate-limit, --rate-burst, \
                          --write-budget-ms, --reject-timeout-ms, --threads";
     let mut config = lalr_service::DaemonConfig {
@@ -741,7 +741,6 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     let mut store_dir: Option<std::path::PathBuf> = None;
     let mut no_store = false;
     let mut shards: usize = 1;
-    let mut threaded = false;
     let mut trace_sample: u64 = 1;
     let mut trace_capacity: usize = 256;
     let mut workers: Option<usize> = None;
@@ -751,11 +750,6 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
             // Boolean flags consume one argument, not two.
             "--no-store" => {
                 no_store = true;
-                i += 1;
-                continue;
-            }
-            "--threaded" => {
-                threaded = true;
                 i += 1;
                 continue;
             }
@@ -854,22 +848,13 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         sample_every: trace_sample,
     });
 
-    // The epoll front end is the default where the backend exists;
-    // `--threaded` selects the thread-per-connection reference.
     // Scripts (and the bin tests) parse the first stderr line as
     // exactly `serving on ADDR`; the front-end detail goes on its own.
-    let summary = if threaded || !lalr_net::supported() {
-        let daemon = lalr_service::Daemon::start(config).map_err(|e| fail(format!("bind: {e}")))?;
-        eprintln!("serving on {}", daemon.addr());
-        eprintln!("front end: thread-per-connection");
-        daemon.join()
-    } else {
-        let daemon = lalr_service::EventDaemon::start(config, shards)
-            .map_err(|e| fail(format!("bind: {e}")))?;
-        eprintln!("serving on {}", daemon.addr());
-        eprintln!("front end: {shards} event-loop shard(s)");
-        daemon.join()
-    };
+    let daemon =
+        lalr_service::EventDaemon::start(config, shards).map_err(|e| fail(format!("bind: {e}")))?;
+    eprintln!("serving on {}", daemon.addr());
+    eprintln!("front end: {shards} event-loop shard(s)");
+    let summary = daemon.join();
     let mut out = format!(
         "served {} connection(s), {} request(s)\ndrained {} connection(s) at shutdown, aborted {}\n",
         summary.connections, summary.requests, summary.drained, summary.aborted
@@ -1449,7 +1434,7 @@ mod tests {
         let err = run_strs(&["serve", "--wat"]).unwrap_err();
         assert!(err.message.contains("available: --addr"), "{}", err.message);
         // The persistence and front-end flags are advertised too.
-        for flag in ["--store", "--no-store", "--shards", "--threaded"] {
+        for flag in ["--store", "--no-store", "--shards"] {
             assert!(err.message.contains(flag), "{flag}: {}", err.message);
         }
         let err = run_strs(&["client", "compile", "expr", "--wat"]).unwrap_err();
@@ -1732,7 +1717,7 @@ mod tests {
             addr: "127.0.0.1:0".to_string(),
             ..lalr_service::DaemonConfig::default()
         };
-        let daemon = lalr_service::Daemon::start(config).expect("bind loopback");
+        let daemon = lalr_service::EventDaemon::start(config, 1).expect("bind loopback");
         let addr = daemon.addr().to_string();
 
         let out = run_strs(&["client", "compile", "expr", "--addr", &addr]).unwrap();
@@ -1764,7 +1749,7 @@ mod tests {
             ..lalr_service::DaemonConfig::default()
         };
         config.service.tracing = Some(lalr_service::TraceConfig::default());
-        let daemon = lalr_service::Daemon::start(config).expect("bind loopback");
+        let daemon = lalr_service::EventDaemon::start(config, 1).expect("bind loopback");
         let addr = daemon.addr().to_string();
         run_strs(&["client", "compile", "expr", "--addr", &addr]).unwrap();
 
@@ -1821,7 +1806,7 @@ mod tests {
             rate_limit_per_sec: 100,
             ..lalr_service::DaemonConfig::default()
         };
-        let daemon = lalr_service::Daemon::start(config).expect("bind loopback");
+        let daemon = lalr_service::EventDaemon::start(config, 1).expect("bind loopback");
         let addr = daemon.addr().to_string();
 
         let out = run_strs(&["client", "health", "--addr", &addr]).unwrap();
@@ -1844,10 +1829,13 @@ mod tests {
     fn trace_reports_disabled_recorder() {
         // Library-default daemon: no tracing config, so the op answers
         // with enabled=false and the CLI says how to arm it.
-        let daemon = lalr_service::Daemon::start(lalr_service::DaemonConfig {
-            addr: "127.0.0.1:0".to_string(),
-            ..lalr_service::DaemonConfig::default()
-        })
+        let daemon = lalr_service::EventDaemon::start(
+            lalr_service::DaemonConfig {
+                addr: "127.0.0.1:0".to_string(),
+                ..lalr_service::DaemonConfig::default()
+            },
+            1,
+        )
         .expect("bind loopback");
         let addr = daemon.addr().to_string();
         let out = run_strs(&["trace", "--addr", &addr]).unwrap();

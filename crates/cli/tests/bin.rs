@@ -109,6 +109,21 @@ fn unknown_flag_lists_include_the_resilience_flags() {
     assert!(stderr.contains("--backoff-ms"), "{stderr}");
 }
 
+/// `serve` has one front end; the retired `--threaded` switch is an
+/// unknown flag like any other: exit 2, the uniform message, and no
+/// server started.
+#[test]
+fn serve_threaded_is_an_unknown_flag() {
+    let out = lalrgen(&["serve", "--addr", "127.0.0.1:0", "--threaded"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown flag \"--threaded\" for serve (available: --addr"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("serving on"), "{stderr}");
+}
+
 /// A chaos-armed daemon through the binary alone: the first compile
 /// panics in the worker, the retrying client succeeds anyway, and the
 /// shutdown summary reports the drain.

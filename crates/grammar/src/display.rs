@@ -6,14 +6,18 @@ use crate::grammar::Grammar;
 use crate::production::ProdId;
 
 /// Quotes a symbol name when it is not a plain identifier, so that
-/// `Display` output re-parses with [`crate::parse_grammar`].
+/// `Display` output re-parses with [`crate::parse_grammar`]. A leading
+/// `'` would open a quoted literal, so such names are quoted too; a
+/// name containing `"` takes single quotes.
 fn quoted(name: &str) -> String {
-    let ident = !name.is_empty()
+    let ident = name.chars().next().is_some_and(|c| c != '\'')
         && name
             .chars()
             .all(|c| c.is_alphanumeric() || matches!(c, '_' | '\'' | '.'));
     if ident {
         name.to_string()
+    } else if name.contains('"') {
+        format!("'{name}'")
     } else {
         format!("\"{name}\"")
     }
@@ -72,7 +76,7 @@ impl fmt::Display for Grammar {
             };
             writeln!(f, "{keyword} {}", names.join(" "))?;
         }
-        writeln!(f, "%start {}", self.nonterminal_name(self.start()))?;
+        writeln!(f, "%start {}", quoted(self.nonterminal_name(self.start())))?;
         for (id, p) in self.iter_productions() {
             if id.index() == 0 {
                 continue;
@@ -90,7 +94,8 @@ impl fmt::Display for Grammar {
                 Some(t) => format!(" %prec {}", quoted(self.terminal_name(t))),
                 None => String::new(),
             };
-            writeln!(f, "{} : {}{} ;", self.nonterminal_name(p.lhs()), rhs, prec)?;
+            let lhs = quoted(self.nonterminal_name(p.lhs()));
+            writeln!(f, "{lhs} : {rhs}{prec} ;")?;
         }
         Ok(())
     }
@@ -125,6 +130,16 @@ mod tests {
         assert!(text.contains("%right UMINUS"));
         assert!(text.contains("%nonassoc"));
         assert!(text.contains("%prec UMINUS"));
+    }
+
+    #[test]
+    fn names_that_lex_as_literals_are_quoted() {
+        // A leading `'` opens a quoted literal; a `"` needs the other
+        // quote. Both must survive a round trip, on either side of `:`.
+        let src = r#"%start "'a"  "'a" : "'" b 'x"y' ; b : "é" ;"#;
+        let g = parse_grammar(src).unwrap();
+        let text = g.to_string();
+        assert_eq!(parse_grammar(&text).unwrap(), g, "{text}");
     }
 
     #[test]

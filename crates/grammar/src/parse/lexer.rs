@@ -42,7 +42,7 @@ impl TokenKind {
 }
 
 pub(crate) struct Lexer<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
     line: u32,
     col: u32,
@@ -51,7 +51,7 @@ pub(crate) struct Lexer<'a> {
 impl<'a> Lexer<'a> {
     pub fn new(src: &'a str) -> Self {
         Lexer {
-            src: src.as_bytes(),
+            src,
             pos: 0,
             line: 1,
             col: 1,
@@ -67,19 +67,32 @@ impl<'a> Lexer<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
+    /// Advances one byte; columns count characters, so UTF-8
+    /// continuation bytes do not move the column.
     fn bump(&mut self) -> Option<u8> {
         let b = self.peek()?;
         self.pos += 1;
         if b == b'\n' {
             self.line += 1;
             self.col = 1;
-        } else {
+        } else if b & 0xC0 != 0x80 {
             self.col += 1;
         }
         Some(b)
+    }
+
+    /// Consumes bytes while `keep` holds and returns them as a slice of
+    /// the source. Every byte that stops the scan is ASCII, so the slice
+    /// ends on a character boundary.
+    fn take_while(&mut self, keep: impl Fn(u8) -> bool) -> &'a str {
+        let start = self.pos;
+        while self.peek().is_some_and(&keep) {
+            self.bump();
+        }
+        &self.src[start..self.pos]
     }
 
     fn skip_trivia(&mut self) -> Result<(), GrammarError> {
@@ -88,7 +101,7 @@ impl<'a> Lexer<'a> {
                 Some(b) if b.is_ascii_whitespace() => {
                     self.bump();
                 }
-                Some(b'/') if self.src.get(self.pos + 1) == Some(&b'/') => {
+                Some(b'/') if self.src.as_bytes().get(self.pos + 1) == Some(&b'/') => {
                     while let Some(b) = self.peek() {
                         if b == b'\n' {
                             break;
@@ -96,7 +109,7 @@ impl<'a> Lexer<'a> {
                         self.bump();
                     }
                 }
-                Some(b'/') if self.src.get(self.pos + 1) == Some(&b'*') => {
+                Some(b'/') if self.src.as_bytes().get(self.pos + 1) == Some(&b'*') => {
                     let (line, col) = (self.line, self.col);
                     self.bump();
                     self.bump();
@@ -150,48 +163,27 @@ impl<'a> Lexer<'a> {
             }
             b'%' => {
                 self.bump();
-                let mut name = String::new();
-                while let Some(b) = self.peek() {
-                    if Self::is_ident_byte(b) {
-                        name.push(b as char);
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                Ok(tok(TokenKind::Directive(name)))
+                let name = self.take_while(Self::is_ident_byte);
+                Ok(tok(TokenKind::Directive(name.to_string())))
             }
             b'"' | b'\'' => {
                 let quote = b;
                 self.bump();
-                let mut name = String::new();
-                loop {
-                    match self.bump() {
-                        None | Some(b'\n') => {
-                            return Err(GrammarError::Parse {
-                                line,
-                                col,
-                                kind: ParseErrorKind::UnterminatedLiteral,
-                            })
-                        }
-                        Some(b) if b == quote => break,
-                        Some(b) => name.push(b as char),
-                    }
+                let name = self.take_while(|b| b != quote && b != b'\n');
+                if self.bump() != Some(quote) {
+                    return Err(GrammarError::Parse {
+                        line,
+                        col,
+                        kind: ParseErrorKind::UnterminatedLiteral,
+                    });
                 }
-                Ok(tok(TokenKind::Name(name)))
+                Ok(tok(TokenKind::Name(name.to_string())))
             }
             b if Self::is_ident_byte(b) || !b.is_ascii() => {
-                let mut name = String::new();
-                // Accept UTF-8 identifier bytes verbatim.
-                while let Some(b) = self.peek() {
-                    if Self::is_ident_byte(b) || !b.is_ascii() {
-                        name.push(b as char);
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                Ok(tok(TokenKind::Name(name)))
+                // Non-ASCII bytes are identifier bytes: UTF-8 names pass
+                // through whole.
+                let name = self.take_while(|b| Self::is_ident_byte(b) || !b.is_ascii());
+                Ok(tok(TokenKind::Name(name.to_string())))
             }
             other => Err(self.error(ParseErrorKind::UnexpectedChar(other as char))),
         }
@@ -304,6 +296,34 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn utf8_names_are_taken_whole() {
+        let toks = lex_all("s : \"é\" 'ü' naïve ;");
+        assert_eq!(
+            toks,
+            vec![
+                TokenKind::Name("s".into()),
+                TokenKind::Colon,
+                TokenKind::Name("é".into()),
+                TokenKind::Name("ü".into()),
+                TokenKind::Name("naïve".into()),
+                TokenKind::Semi,
+                TokenKind::Eof,
+            ]
+        );
+        // Columns count characters, not bytes.
+        let mut lx = Lexer::new("é (");
+        lx.next_token().unwrap();
+        assert_eq!(
+            lx.next_token(),
+            Err(GrammarError::Parse {
+                line: 1,
+                col: 3,
+                kind: ParseErrorKind::UnexpectedChar('(')
+            })
+        );
     }
 
     #[test]

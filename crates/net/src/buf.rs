@@ -1,11 +1,10 @@
 //! Per-connection line buffers for the readiness-driven daemon.
 //!
 //! [`LineReader`] accumulates nonblocking reads and yields complete
-//! newline-terminated lines under a byte cap — the same cap semantics
-//! as the blocking daemon's `BufReader::take` loop: a line longer than
-//! the cap is reported once as [`LineEvent::Oversize`], after which the
+//! newline-terminated lines under a byte cap: a line longer than the
+//! cap is reported once as [`LineEvent::Oversize`], after which the
 //! reader silently discards bytes until the offending line's newline
-//! (the caller then closes, matching the blocking front end).
+//! (the caller then answers `too_large` and closes).
 //!
 //! [`WriteBuf`] queues response bytes and flushes as far as the socket
 //! allows, retaining the unwritten tail for the next writable edge.

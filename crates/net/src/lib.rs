@@ -8,13 +8,13 @@
 //!
 //! * [`Poller`] / [`Waker`] — an edge-triggered epoll event loop with
 //!   cross-thread wake-up (eventfd);
-//! * [`TimerWheel`] — hashed-wheel connection timeouts with O(1) lazy
-//!   cancellation;
+//! * [`TimerWheel`] — hashed-wheel connection timeouts with O(1)
+//!   re-arm and cancellation, holding only live timers;
 //! * [`TokenBucket`] — a caller-clocked token bucket for request
 //!   admission (pure state machine, deterministic under test);
-//! * [`LineReader`] / [`WriteBuf`] — per-connection buffers that
-//!   reproduce the blocking daemon's newline framing and line-length
-//!   caps under nonblocking reads and partial writes;
+//! * [`LineReader`] / [`WriteBuf`] — per-connection buffers for
+//!   newline framing and line-length caps under nonblocking reads and
+//!   partial writes;
 //! * [`Mmap`] — read-only file mappings for zero-copy artifact loads,
 //!   with a `read` fallback so callers have one code path.
 //!

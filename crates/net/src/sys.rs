@@ -10,9 +10,9 @@
 //! `io::Result`s.
 //!
 //! On any other target the functions exist but return
-//! [`std::io::ErrorKind::Unsupported`], so the crate still compiles and
-//! callers degrade gracefully (the service falls back to the
-//! thread-per-connection daemon, the store falls back to `read`).
+//! [`std::io::ErrorKind::Unsupported`], so the crate still compiles:
+//! the store falls back to `read`, and the daemon refuses to start
+//! (the in-process service needs none of this).
 
 /// One epoll readiness record, laid out as the kernel expects
 /// (`struct epoll_event` is packed on x86-64).

@@ -3,11 +3,16 @@
 //! Deadlines are quantized to ticks of a fixed granularity and hashed
 //! into `slots` buckets; advancing the wheel sweeps each elapsed slot
 //! and yields entries whose tick has actually arrived (entries hashed
-//! into a swept slot from a future lap are put back). Cancellation is
-//! lazy: [`TimerWheel::cancel`] bumps a generation counter, and stale
-//! entries are dropped when their slot is swept — O(1) for the caller,
-//! which matters when every served request cancels a timeout.
+//! into a swept slot from a future lap are put back). Each token owns
+//! at most one stored entry, and the wheel remembers where it sits, so
+//! re-arming and cancelling remove the superseded entry in O(1)
+//! (`swap_remove`) — which matters when every served request re-arms
+//! its connection's idle timer. The wheel therefore never holds more
+//! entries than live timers, and [`TimerWheel::next_timeout`] scans
+//! only those; the position map, keyed by token, is bounded the same
+//! way.
 
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// One expired timer: the token it was armed under.
@@ -21,16 +26,15 @@ pub struct Expired {
 struct Entry {
     token: u64,
     tick: u64,
-    generation: u64,
 }
 
-/// The wheel. Tokens are dense caller ids; each token has at most one
-/// live timer (re-arming supersedes, cancelling invalidates).
+/// The wheel. Each token has at most one live timer (re-arming
+/// supersedes, cancelling removes).
 #[derive(Debug)]
 pub struct TimerWheel {
     slots: Vec<Vec<Entry>>,
-    /// Latest armed generation per token; stale wheel entries lose.
-    generations: Vec<u64>,
+    /// The `(slot, index)` of each live token's entry.
+    positions: HashMap<u64, (usize, usize)>,
     granularity: Duration,
     origin: Instant,
     /// Next tick to sweep.
@@ -44,7 +48,7 @@ impl TimerWheel {
         assert!(slots > 0 && !granularity.is_zero());
         TimerWheel {
             slots: (0..slots).map(|_| Vec::new()).collect(),
-            generations: Vec::new(),
+            positions: HashMap::new(),
             granularity,
             origin,
             cursor: 0,
@@ -60,29 +64,25 @@ impl TimerWheel {
 
     /// Arms (or re-arms) `token` to expire at `deadline`.
     pub fn arm(&mut self, token: u64, deadline: Instant) {
-        let idx = token as usize;
-        if idx >= self.generations.len() {
-            self.generations.resize(idx + 1, 0);
-        }
-        self.generations[idx] += 1;
+        self.cancel(token);
         let tick = self.tick_of(deadline).max(self.cursor);
         let slot = (tick % self.slots.len() as u64) as usize;
-        self.slots[slot].push(Entry {
-            token,
-            tick,
-            generation: self.generations[idx],
-        });
+        self.positions.insert(token, (slot, self.slots[slot].len()));
+        self.slots[slot].push(Entry { token, tick });
     }
 
-    /// Cancels `token`'s pending timer (O(1); the wheel entry is
-    /// dropped lazily).
+    /// Cancels `token`'s pending timer, if any (O(1)).
     pub fn cancel(&mut self, token: u64) {
-        if let Some(generation) = self.generations.get_mut(token as usize) {
-            *generation += 1;
+        let Some((slot, i)) = self.positions.remove(&token) else {
+            return;
+        };
+        self.slots[slot].swap_remove(i);
+        if let Some(moved) = self.slots[slot].get(i) {
+            self.positions.insert(moved.token, (slot, i));
         }
     }
 
-    /// Sweeps every tick up to and including `now`'s, appending live
+    /// Sweeps every tick up to and including `now`'s, appending
     /// expirations to `out`.
     pub fn advance(&mut self, now: Instant, out: &mut Vec<Expired>) {
         let target = self.tick_of(now);
@@ -93,37 +93,27 @@ impl TimerWheel {
         // has been visited once already.
         let sweeps = (target - self.cursor + 1).min(self.slots.len() as u64);
         for step in 0..sweeps {
-            let tick = self.cursor + step;
-            let slot = (tick % self.slots.len() as u64) as usize;
-            let mut keep = Vec::new();
-            for entry in self.slots[slot].drain(..) {
-                if self.generations[entry.token as usize] != entry.generation {
-                    continue; // cancelled or re-armed
-                }
-                if entry.tick <= target {
+            let slot = ((self.cursor + step) % self.slots.len() as u64) as usize;
+            let positions = &mut self.positions;
+            self.slots[slot].retain(|entry| {
+                let due = entry.tick <= target;
+                if due {
+                    positions.remove(&entry.token);
                     out.push(Expired { token: entry.token });
-                } else {
-                    keep.push(entry); // future lap
                 }
+                !due // future-lap entries stay
+            });
+            for (i, entry) in self.slots[slot].iter().enumerate() {
+                self.positions.insert(entry.token, (slot, i));
             }
-            self.slots[slot] = keep;
         }
         self.cursor = target + 1;
     }
 
-    /// Time until the next armed (possibly stale) deadline, or `None`
-    /// when the wheel is empty — the poll timeout to use.
+    /// Time until the next armed deadline, or `None` when the wheel is
+    /// empty — the poll timeout to use.
     pub fn next_timeout(&self, now: Instant) -> Option<Duration> {
-        let mut earliest: Option<u64> = None;
-        for slot in &self.slots {
-            for entry in slot {
-                if self.generations[entry.token as usize] != entry.generation {
-                    continue;
-                }
-                earliest = Some(earliest.map_or(entry.tick, |t| t.min(entry.tick)));
-            }
-        }
-        let tick = earliest?;
+        let tick = self.slots.iter().flatten().map(|e| e.tick).min()?;
         let due = self.origin
             + Duration::from_nanos((self.granularity.as_nanos() as u64).saturating_mul(tick));
         Some(due.saturating_duration_since(now).max(self.granularity))
@@ -198,5 +188,40 @@ mod tests {
         w.cancel(2);
         let hint = w.next_timeout(t0).unwrap();
         assert!(hint >= Duration::from_millis(50), "{hint:?}");
+    }
+
+    #[test]
+    fn rearming_keeps_one_entry_per_token() {
+        // Steady traffic re-arms a connection's idle timer per request;
+        // superseded deadlines must not pile up in the slots, where
+        // `next_timeout` would scan them on every event-loop turn.
+        let t0 = Instant::now();
+        let mut w = wheel(t0);
+        let mut last = t0;
+        for i in 0..100_000u64 {
+            last = t0 + Duration::from_secs(30) + Duration::from_micros(i * 7);
+            w.arm(1, last);
+        }
+        let stored: usize = w.slots.iter().map(Vec::len).sum();
+        assert!(stored <= w.slots.len() + 1, "{stored} entries stored");
+        assert_eq!(w.positions.len(), 1);
+        let hint = w.next_timeout(t0).unwrap();
+        let live = last - t0;
+        assert!(
+            hint >= live && hint <= live + Duration::from_millis(10),
+            "{hint:?} vs live deadline {live:?}"
+        );
+
+        // Two tokens sharing a slot: cancelling one leaves the other's
+        // position intact for later re-arms and expiry.
+        w.arm(2, t0 + Duration::from_millis(30));
+        w.arm(3, t0 + Duration::from_millis(30));
+        w.cancel(2);
+        w.arm(3, t0 + Duration::from_millis(40));
+        let stored: usize = w.slots.iter().map(Vec::len).sum();
+        assert_eq!(stored, 2);
+        let mut out = Vec::new();
+        w.advance(t0 + Duration::from_millis(45), &mut out);
+        assert_eq!(out, vec![Expired { token: 3 }]);
     }
 }

@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use lalr_service::client::{call_with_retry, RetryPolicy};
 use lalr_service::{
-    client, Daemon, DaemonConfig, Fault, FaultInjector, FaultPlan, GrammarFormat, Request,
+    client, DaemonConfig, EventDaemon, Fault, FaultInjector, FaultPlan, GrammarFormat, Request,
     ServiceError, Trigger,
 };
 
@@ -20,6 +20,21 @@ fn compile_request() -> Request {
         grammar: GRAMMAR.to_string(),
         format: GrammarFormat::Native,
     }
+}
+
+/// A one-shard daemon on a loopback port, or `None` where the epoll
+/// backend is unavailable.
+fn start_daemon() -> Option<EventDaemon> {
+    lalr_net::supported().then(|| {
+        EventDaemon::start(
+            DaemonConfig {
+                addr: "127.0.0.1:0".to_string(),
+                ..DaemonConfig::default()
+            },
+            1,
+        )
+        .expect("bind loopback")
+    })
 }
 
 /// A one-shot fake server: accepts a single connection and hands it to
@@ -130,11 +145,9 @@ fn client_side_failpoints_surface_as_their_transport_errors() {
     assert_eq!(faults.injected_at("client.connect"), 1);
 
     // client.write and client.read inject against a live daemon.
-    let daemon = Daemon::start(DaemonConfig {
-        addr: "127.0.0.1:0".to_string(),
-        ..DaemonConfig::default()
-    })
-    .unwrap();
+    let Some(daemon) = start_daemon() else {
+        return;
+    };
     for point in ["client.write", "client.read"] {
         let faults = FaultPlan::new(3)
             .rule(point, Fault::Error, Trigger::OnHits(vec![1]))
@@ -157,11 +170,9 @@ fn client_side_failpoints_surface_as_their_transport_errors() {
 
 #[test]
 fn retry_recovers_from_two_injected_connect_failures() {
-    let daemon = Daemon::start(DaemonConfig {
-        addr: "127.0.0.1:0".to_string(),
-        ..DaemonConfig::default()
-    })
-    .unwrap();
+    let Some(daemon) = start_daemon() else {
+        return;
+    };
     // First two dials are shot down; the third goes through, so the
     // reply must arrive stamped `attempts == 3`.
     let faults = FaultPlan::new(9)

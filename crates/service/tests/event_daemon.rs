@@ -1,6 +1,8 @@
-//! Loopback tests of the epoll event-loop daemon: protocol parity with
-//! the thread-per-connection front end, pipelining, drain semantics,
-//! the connection cap, and warm restarts from the persistent store.
+//! Loopback tests of the TCP daemon: protocol round trips, error
+//! replies, pipelining, deadlines, drain semantics (prompt idle drain,
+//! forced aborts at the deadline), the connection cap, warm restarts
+//! from the persistent store, and byte-identity with in-process
+//! [`Service::call`] under concurrent load.
 //!
 //! Every test is gated on `lalr_net::supported()` so the suite stays
 //! green on platforms without the raw epoll backend.
@@ -11,9 +13,10 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use lalr_service::client::{self, ClientReply};
-use lalr_service::protocol::request_to_line;
+use lalr_service::protocol::{request_from_value, request_to_line, response_to_line};
 use lalr_service::{
-    Daemon, DaemonConfig, EventDaemon, GrammarFormat, ParseTarget, Request, ServiceConfig,
+    DaemonConfig, EventDaemon, Fault, FaultPlan, GrammarFormat, ParseTarget, Request, Service,
+    ServiceConfig, Trigger,
 };
 
 use serde_json::Value;
@@ -87,6 +90,23 @@ fn event_daemon_compiles_caches_reports_stats_and_shuts_down() {
         "{}",
         stats.raw
     );
+    let cache = stats.value.get("cache").expect("cache stats present");
+    assert!(cache.get("hits").and_then(Value::as_u64) >= Some(1));
+    // The persistent-store counters are always reported, and stay zero
+    // when no store directory is configured.
+    for key in [
+        "store_hits",
+        "store_misses",
+        "store_writes",
+        "store_corrupt",
+    ] {
+        assert_eq!(
+            cache.get(key).and_then(Value::as_u64),
+            Some(0),
+            "{key}: {}",
+            stats.raw
+        );
+    }
 
     let bye = call(&addr, &Request::Shutdown);
     assert!(bye.is_ok(), "{}", bye.raw);
@@ -177,6 +197,19 @@ fn event_daemon_handles_malformed_lines_and_keeps_the_connection() {
         .and_then(Value::as_str)
         .unwrap();
     assert!(msg.contains("available: compile"), "{msg}");
+
+    // A bad grammar is an application error, not a transport one.
+    line.clear();
+    writeln!(writer, "{{\"op\":\"compile\",\"grammar\":\"e : oops\"}}").unwrap();
+    reader.read_line(&mut line).unwrap();
+    let v: Value = serde_json::from_str(line.trim_end()).unwrap();
+    assert_eq!(
+        v.get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(Value::as_str),
+        Some("bad_grammar"),
+        "{line}"
+    );
 
     // The same connection still serves a good request afterwards.
     line.clear();
@@ -308,6 +341,72 @@ fn event_daemon_drains_idle_connections_promptly() {
 }
 
 #[test]
+fn event_daemon_drain_deadline_zero_aborts_a_connection_mid_request() {
+    if !lalr_net::supported() {
+        return;
+    }
+    // Every compile stalls 300 ms; with a zero drain deadline a stop()
+    // mid-request must force-close rather than wait.
+    let faults = FaultPlan::new(5)
+        .rule("service.compile", Fault::Delay(300), Trigger::Rate(1.0))
+        .build();
+    let config = DaemonConfig {
+        addr: "127.0.0.1:0".to_string(),
+        drain_deadline: Duration::from_millis(0),
+        faults: faults.clone(),
+        service: ServiceConfig {
+            faults,
+            ..ServiceConfig::default()
+        },
+        ..DaemonConfig::default()
+    };
+    let daemon = EventDaemon::start(config, 1).unwrap();
+    let addr = daemon.addr().to_string();
+    let busy = std::thread::spawn(move || {
+        // The response may be lost to the forced close; only the timing
+        // contract matters here.
+        let _ = client::call(&addr, &compile_request(), None, Duration::from_secs(10));
+    });
+    // Wait until the request is in flight, then stop under it.
+    std::thread::sleep(Duration::from_millis(100));
+    daemon.stop();
+    let summary = daemon.join();
+    assert!(
+        summary.aborted >= 1,
+        "a mid-request connection must be aborted at deadline 0: {summary:?}"
+    );
+    busy.join().unwrap();
+}
+
+#[test]
+fn event_daemon_reports_a_zero_deadline_as_deadline_exceeded() {
+    if !lalr_net::supported() {
+        return;
+    }
+    let daemon = start_event_daemon(1);
+    let reply = client::call(
+        &daemon.addr().to_string(),
+        &compile_request(),
+        Some(Duration::from_millis(0)),
+        Duration::from_secs(30),
+    )
+    .unwrap();
+    assert!(!reply.is_ok(), "{}", reply.raw);
+    assert_eq!(
+        reply
+            .value
+            .get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(Value::as_str),
+        Some("deadline"),
+        "{}",
+        reply.raw
+    );
+    daemon.stop();
+    daemon.join();
+}
+
+#[test]
 fn event_daemon_serves_warm_from_store_after_restart() {
     if !lalr_net::supported() {
         return;
@@ -378,11 +477,11 @@ fn event_daemon_serves_warm_from_store_after_restart() {
 }
 
 /// The acceptance differential: eight client threads over TCP against
-/// the epoll front end must produce byte-identical response lines to
-/// the thread-per-connection reference daemon answering the same
-/// workload (modulo the scheduling-dependent `cached` flag).
+/// a two-shard daemon must produce byte-identical response lines to an
+/// in-process [`Service::call`] answering the same workload (modulo the
+/// scheduling-dependent `cached` flag).
 #[test]
-fn eight_thread_tcp_soak_matches_threaded_daemon_byte_for_byte() {
+fn eight_thread_tcp_soak_matches_in_process_service_byte_for_byte() {
     if !lalr_net::supported() {
         return;
     }
@@ -484,14 +583,16 @@ fn eight_thread_tcp_soak_matches_threaded_daemon_byte_for_byte() {
     let requests = std::sync::Arc::new(workload());
     assert!(requests.len() >= 40, "workload is non-trivial");
 
-    let threaded = Daemon::start(DaemonConfig {
-        addr: "127.0.0.1:0".to_string(),
-        ..DaemonConfig::default()
-    })
-    .unwrap();
-    let reference = run(threaded.addr(), &requests);
-    threaded.stop();
-    threaded.join();
+    let service = Service::new(ServiceConfig::default());
+    let reference: Vec<String> = requests
+        .iter()
+        .map(|line| {
+            let value = serde_json::from_str(line).expect("request line parses");
+            let (request, deadline) = request_from_value(&value).expect("valid request");
+            normalize(&response_to_line(&service.call(request, deadline)))
+        })
+        .collect();
+    drop(service);
 
     let event = start_event_daemon(2);
     let subject = run(event.addr(), &requests);
@@ -502,7 +603,7 @@ fn eight_thread_tcp_soak_matches_threaded_daemon_byte_for_byte() {
     for (i, (want, got)) in reference.iter().zip(&subject).enumerate() {
         assert_eq!(
             got, want,
-            "request {i} diverged between the epoll and threaded front ends"
+            "request {i} diverged between the daemon and in-process Service::call"
         );
     }
 }

@@ -1,11 +1,13 @@
-//! Hostile-client hardening of the epoll event-loop daemon: abusive
-//! connection patterns must be survived with *exact* admission-reject
-//! accounting — every rejection is explicit (a structured error line or
-//! a counted close), never a silent drop — and the daemon keeps serving
-//! well-behaved traffic throughout.
+//! Hostile-client hardening of the daemon. Abusive connection patterns
+//! must be survived with *exact* admission-reject accounting — every
+//! rejection is explicit (a structured error line or a counted close),
+//! never a silent drop. Malformed bytes, adversarial JSON, and absurd
+//! field values must each get a structured error (or a dropped
+//! connection). Throughout, the daemon keeps serving well-behaved
+//! traffic.
 //!
-//! Every test is gated on `lalr_net::supported()` so the suite stays
-//! green on platforms without the raw epoll backend.
+//! Every test is skipped on platforms without the raw epoll backend,
+//! where the daemon does not start.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -29,8 +31,33 @@ fn compile_request() -> Request {
     }
 }
 
+/// A one-shard daemon on a loopback port, or `None` where the epoll
+/// backend is unavailable.
+fn start_daemon(config: DaemonConfig) -> Option<EventDaemon> {
+    lalr_net::supported().then(|| {
+        EventDaemon::start(
+            DaemonConfig {
+                addr: "127.0.0.1:0".to_string(),
+                ..config
+            },
+            1,
+        )
+        .expect("bind loopback")
+    })
+}
+
 fn call(addr: &str, request: &Request) -> ClientReply {
     client::call(addr, request, None, Duration::from_secs(30)).expect("daemon reachable")
+}
+
+/// Opens a raw connection with a short read timeout for line exchanges.
+fn raw_conn(daemon: &EventDaemon) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(daemon.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let writer = stream.try_clone().unwrap();
+    (writer, BufReader::new(stream))
 }
 
 /// Fetches the `health` op's admission-reject counter `key`.
@@ -48,6 +75,7 @@ fn admission_reject(addr: &str, key: &str) -> u64 {
 fn error_kind(line: &str) -> String {
     let v: Value = serde_json::from_str(line.trim_end())
         .unwrap_or_else(|e| panic!("unparseable reply {line:?}: {e}"));
+    assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false), "{line}");
     v.get("error")
         .and_then(|e| e.get("kind"))
         .and_then(Value::as_str)
@@ -57,17 +85,9 @@ fn error_kind(line: &str) -> String {
 
 #[test]
 fn byte_at_a_time_writer_still_gets_its_answer() {
-    if !lalr_net::supported() {
+    let Some(daemon) = start_daemon(DaemonConfig::default()) else {
         return;
-    }
-    let daemon = EventDaemon::start(
-        DaemonConfig {
-            addr: "127.0.0.1:0".to_string(),
-            ..DaemonConfig::default()
-        },
-        1,
-    )
-    .unwrap();
+    };
 
     // The request dribbles in one byte at a time; the daemon must
     // assemble the line across dozens of tiny reads and answer it.
@@ -96,18 +116,12 @@ fn byte_at_a_time_writer_still_gets_its_answer() {
 
 #[test]
 fn connect_and_never_write_is_idled_out_cleanly() {
-    if !lalr_net::supported() {
+    let Some(daemon) = start_daemon(DaemonConfig {
+        read_timeout: Duration::from_millis(300),
+        ..DaemonConfig::default()
+    }) else {
         return;
-    }
-    let daemon = EventDaemon::start(
-        DaemonConfig {
-            addr: "127.0.0.1:0".to_string(),
-            read_timeout: Duration::from_millis(300),
-            ..DaemonConfig::default()
-        },
-        1,
-    )
-    .unwrap();
+    };
     let addr = daemon.addr().to_string();
 
     // Three connections that never send a byte: each must be closed at
@@ -155,25 +169,19 @@ fn chunky_grammar() -> String {
 
 #[test]
 fn stalled_reader_is_closed_by_the_write_budget() {
-    if !lalr_net::supported() {
-        return;
-    }
     // A long read timeout isolates the mechanism under test: only the
     // slow-client write budget may close the stalled connection.
-    let daemon = EventDaemon::start(
-        DaemonConfig {
-            addr: "127.0.0.1:0".to_string(),
-            read_timeout: Duration::from_secs(60),
-            write_budget: Duration::from_millis(150),
-            service: ServiceConfig {
-                max_pending: 16384,
-                ..ServiceConfig::default()
-            },
-            ..DaemonConfig::default()
+    let Some(daemon) = start_daemon(DaemonConfig {
+        read_timeout: Duration::from_secs(60),
+        write_budget: Duration::from_millis(150),
+        service: ServiceConfig {
+            max_pending: 16384,
+            ..ServiceConfig::default()
         },
-        1,
-    )
-    .unwrap();
+        ..DaemonConfig::default()
+    }) else {
+        return;
+    };
     let addr = daemon.addr().to_string();
 
     // Size the pipeline off one real response so the queued bytes
@@ -307,19 +315,13 @@ fn peer_quota_flood_is_rejected_with_exact_accounting() {
 
 #[test]
 fn rate_limited_lines_are_throttled_with_exact_accounting() {
-    if !lalr_net::supported() {
+    let Some(daemon) = start_daemon(DaemonConfig {
+        rate_limit_per_sec: 2,
+        rate_limit_burst: 2,
+        ..DaemonConfig::default()
+    }) else {
         return;
-    }
-    let daemon = EventDaemon::start(
-        DaemonConfig {
-            addr: "127.0.0.1:0".to_string(),
-            rate_limit_per_sec: 2,
-            rate_limit_burst: 2,
-            ..DaemonConfig::default()
-        },
-        1,
-    )
-    .unwrap();
+    };
     let addr = daemon.addr().to_string();
 
     // Five pipelined requests arrive in one write: the two burst tokens
@@ -363,9 +365,6 @@ fn rate_limited_lines_are_throttled_with_exact_accounting() {
 
 #[test]
 fn injected_shard_panic_restarts_the_shard_and_the_retry_converges() {
-    if !lalr_net::supported() {
-        return;
-    }
     // The first request line trips the shard.panic failpoint: the whole
     // shard unwinds mid-pump. The supervisor must respawn it and the
     // client's retry — a fresh connection through the re-registered
@@ -373,15 +372,12 @@ fn injected_shard_panic_restarts_the_shard_and_the_retry_converges() {
     let faults = FaultPlan::new(5)
         .rule("shard.panic", Fault::Panic, Trigger::OnHits(vec![1]))
         .build();
-    let daemon = EventDaemon::start(
-        DaemonConfig {
-            addr: "127.0.0.1:0".to_string(),
-            faults: faults.clone(),
-            ..DaemonConfig::default()
-        },
-        1,
-    )
-    .unwrap();
+    let Some(daemon) = start_daemon(DaemonConfig {
+        faults: faults.clone(),
+        ..DaemonConfig::default()
+    }) else {
+        return;
+    };
     let addr = daemon.addr().to_string();
 
     let policy = RetryPolicy {
@@ -414,4 +410,249 @@ fn injected_shard_panic_restarts_the_shard_and_the_retry_converges() {
     daemon.stop();
     let summary = daemon.join();
     assert_eq!(summary.restarts, 1, "{summary:?}");
+}
+
+#[test]
+fn invalid_utf8_drops_the_connection_and_the_daemon_survives() {
+    let Some(daemon) = start_daemon(DaemonConfig::default()) else {
+        return;
+    };
+    let (mut writer, mut reader) = raw_conn(&daemon);
+
+    // A line that is not UTF-8: 0xFF can never appear in a valid
+    // sequence. The server's line reader flags it and the connection is
+    // dropped without a reply — the client observes EOF.
+    writer
+        .write_all(&[0xFF, 0xFE, 0x80, b'{', b'}', b'\n'])
+        .unwrap();
+    writer.flush().unwrap();
+    let mut buf = Vec::new();
+    let n = reader.read_to_end(&mut buf).unwrap();
+    assert_eq!(n, 0, "expected EOF, got {buf:?}");
+
+    // The daemon itself is unharmed.
+    let reply = call(&daemon.addr().to_string(), &compile_request());
+    assert!(reply.is_ok(), "{}", reply.raw);
+    daemon.stop();
+    let summary = daemon.join();
+    assert!(summary.connections >= 2, "{summary:?}");
+}
+
+#[test]
+fn deeply_nested_json_hits_the_parser_depth_guard() {
+    let Some(daemon) = start_daemon(DaemonConfig::default()) else {
+        return;
+    };
+    let (mut writer, mut reader) = raw_conn(&daemon);
+
+    // 200 levels of nesting — past the vendored parser's MAX_DEPTH of
+    // 128 — must be refused by the recursion guard, not overflow the
+    // shard thread's stack.
+    let deep = format!("{}{}", "[".repeat(200), "]".repeat(200));
+    writeln!(writer, "{deep}").unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert_eq!(error_kind(&line), "bad_request", "{line}");
+
+    // An *accepted* depth that is still not an object gets the shape
+    // error, and the connection remains usable for real work.
+    line.clear();
+    writeln!(writer, "{}{}", "[".repeat(50), "]".repeat(50)).unwrap();
+    reader.read_line(&mut line).unwrap();
+    assert_eq!(error_kind(&line), "bad_request", "{line}");
+
+    line.clear();
+    writeln!(writer, "{}", request_to_line(&compile_request(), None)).unwrap();
+    reader.read_line(&mut line).unwrap();
+    let v: Value = serde_json::from_str(line.trim_end()).unwrap();
+    assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true), "{line}");
+
+    drop(writer);
+    drop(reader);
+    daemon.stop();
+    daemon.join();
+}
+
+#[test]
+fn absurd_numeric_and_mistyped_fields_each_get_a_structured_error() {
+    let Some(daemon) = start_daemon(DaemonConfig::default()) else {
+        return;
+    };
+    let (mut writer, mut reader) = raw_conn(&daemon);
+    let mut line = String::new();
+
+    // Every hostile line is answered on the same connection; none of
+    // them may wedge or crash the thread serving it.
+    let cases: &[&str] = &[
+        // deadline_ms beyond exact-integer range (numbers are f64).
+        r#"{"op":"compile","grammar":"e : \"x\" ;","deadline_ms":99999999999999999999999}"#,
+        // Negative and fractional deadlines.
+        r#"{"op":"compile","grammar":"e : \"x\" ;","deadline_ms":-5}"#,
+        r#"{"op":"compile","grammar":"e : \"x\" ;","deadline_ms":1.5}"#,
+        // Exponent overflow inside the number literal itself.
+        r#"{"op":"compile","grammar":"e : \"x\" ;","deadline_ms":1e999}"#,
+        // op of the wrong type, null, and a non-object request.
+        r#"{"op":42}"#,
+        r#"{"op":null}"#,
+        "null",
+        "{}",
+        r#"{"op":"compile","grammar":12345}"#,
+    ];
+    for case in cases {
+        line.clear();
+        writeln!(writer, "{case}").unwrap();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(
+            error_kind(&line),
+            "bad_request",
+            "for request {case}: {line}"
+        );
+    }
+
+    // u64::MAX milliseconds is far-future but representable: the request
+    // must simply succeed rather than trip an overflow.
+    line.clear();
+    writeln!(
+        writer,
+        r#"{{"op":"compile","grammar":"e : \"x\" ;","deadline_ms":9007199254740992}}"#
+    )
+    .unwrap();
+    reader.read_line(&mut line).unwrap();
+    let v: Value = serde_json::from_str(line.trim_end()).unwrap();
+    assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true), "{line}");
+
+    drop(writer);
+    drop(reader);
+    daemon.stop();
+    daemon.join();
+}
+
+#[test]
+fn empty_parse_batch_is_a_structured_bad_request() {
+    let Some(daemon) = start_daemon(DaemonConfig::default()) else {
+        return;
+    };
+    let (mut writer, mut reader) = raw_conn(&daemon);
+    let mut line = String::new();
+
+    // The codec accepts an empty "batch" array; the *service* refuses
+    // it. Either way the caller gets a structured error, not a drop.
+    writeln!(
+        writer,
+        r#"{{"op":"parse","grammar":"e : \"x\" ;","batch":[]}}"#
+    )
+    .unwrap();
+    reader.read_line(&mut line).unwrap();
+    assert_eq!(error_kind(&line), "bad_request", "{line}");
+    assert!(line.contains("empty batch"), "{line}");
+
+    // Mistyped batches are codec-level bad requests on the same
+    // connection: not an array, and an array of non-strings.
+    for case in [
+        r#"{"op":"parse","grammar":"e : \"x\" ;","batch":"x"}"#,
+        r#"{"op":"parse","grammar":"e : \"x\" ;","batch":[42]}"#,
+        r#"{"op":"parse","grammar":"e : \"x\" ;"}"#,
+        r#"{"op":"parse","batch":["x"],"fingerprint":"nope"}"#,
+    ] {
+        line.clear();
+        writeln!(writer, "{case}").unwrap();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(error_kind(&line), "bad_request", "for {case}: {line}");
+    }
+
+    // The connection still serves a well-formed batch afterwards.
+    line.clear();
+    writeln!(
+        writer,
+        r#"{{"op":"parse","grammar":"e : e \"+\" t | t ; t : \"x\" ;","batch":["x + x"]}}"#
+    )
+    .unwrap();
+    reader.read_line(&mut line).unwrap();
+    let v: Value = serde_json::from_str(line.trim_end()).unwrap();
+    assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true), "{line}");
+
+    drop(writer);
+    drop(reader);
+    daemon.stop();
+    daemon.join();
+}
+
+#[test]
+fn oversized_document_degrades_to_a_per_document_error() {
+    // One absurd document must not fail the batch, wedge the
+    // connection, or starve its well-formed neighbours.
+    let Some(daemon) = start_daemon(DaemonConfig::default()) else {
+        return;
+    };
+    let huge = "x ".repeat(300 << 10); // ~600 KiB > the 256 KiB default
+    let request = Request::Parse {
+        target: lalr_service::ParseTarget::Text {
+            grammar: "e : e \"+\" t | t ; t : \"x\" ;".to_string(),
+            format: GrammarFormat::Native,
+        },
+        documents: vec!["x + x".to_string(), huge, "x".to_string()],
+        recover: false,
+        sync: Vec::new(),
+    };
+    let reply = call(&daemon.addr().to_string(), &request);
+    assert!(reply.is_ok(), "{}", reply.raw);
+    let docs = reply
+        .value
+        .get("docs")
+        .and_then(Value::as_arr)
+        .expect("docs array")
+        .to_vec();
+    assert_eq!(docs.len(), 3);
+    let accepted =
+        |d: &Value| -> bool { d.get("accepted").and_then(Value::as_bool).unwrap_or(false) };
+    assert!(accepted(&docs[0]), "{}", reply.raw);
+    assert!(!accepted(&docs[1]), "oversized doc must be rejected");
+    assert!(accepted(&docs[2]), "{}", reply.raw);
+    let message = docs[1]
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(Value::as_str)
+        .expect("per-document error");
+    assert!(message.contains("byte limit"), "{message}");
+
+    // The daemon keeps serving after the hostile batch.
+    let reply = call(&daemon.addr().to_string(), &compile_request());
+    assert!(reply.is_ok(), "{}", reply.raw);
+    daemon.stop();
+    daemon.join();
+}
+
+#[test]
+fn injected_read_garbage_is_a_bad_request_and_the_connection_survives() {
+    // The daemon.read Garbage failpoint corrupts the *first* request
+    // line as if the transport had scrambled it; the daemon answers
+    // bad_request and the same connection then serves the clean retry.
+    let faults = FaultPlan::new(11)
+        .rule("daemon.read", Fault::Garbage, Trigger::OnHits(vec![1]))
+        .build();
+    let Some(daemon) = start_daemon(DaemonConfig {
+        faults: faults.clone(),
+        ..DaemonConfig::default()
+    }) else {
+        return;
+    };
+    let (mut writer, mut reader) = raw_conn(&daemon);
+    let request_line = request_to_line(&compile_request(), None);
+
+    let mut line = String::new();
+    writeln!(writer, "{request_line}").unwrap();
+    reader.read_line(&mut line).unwrap();
+    assert_eq!(error_kind(&line), "bad_request", "{line}");
+
+    line.clear();
+    writeln!(writer, "{request_line}").unwrap();
+    reader.read_line(&mut line).unwrap();
+    let v: Value = serde_json::from_str(line.trim_end()).unwrap();
+    assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true), "{line}");
+
+    assert_eq!(faults.injected_at("daemon.read"), 1);
+    drop(writer);
+    drop(reader);
+    daemon.stop();
+    daemon.join();
 }

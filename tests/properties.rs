@@ -80,3 +80,26 @@ proptest! {
         prop_assert_eq!(dp, prop_la);
     }
 }
+
+/// `Display` is an exact inverse of the parser on every corpus grammar:
+/// parse ∘ Display reproduces the grammar — symbol names (including
+/// ones that need quoting, like Ada's `'` tick), precedence and start
+/// symbol — and re-display is a fixpoint.
+#[test]
+fn corpus_display_round_trips_exactly() {
+    let entries = lalr::corpus::all_entries();
+    assert_eq!(entries.len(), 16);
+    for entry in entries {
+        let grammar = entry.grammar();
+        let text = grammar.to_string();
+        let again = parse_grammar(&text).unwrap_or_else(|e| {
+            panic!("{}: Display output does not parse: {e}\n{text}", entry.name)
+        });
+        assert_eq!(
+            again, grammar,
+            "{}: round trip changed the grammar",
+            entry.name
+        );
+        assert_eq!(again.to_string(), text, "{}", entry.name);
+    }
+}
