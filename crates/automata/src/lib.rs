@@ -7,7 +7,8 @@
 //!   kernels, closures, transitions (with an index of **nonterminal
 //!   transitions**, the domain of the paper's relations) and reductions.
 //! * [`Lr1Automaton`] — the canonical LR(1) collection (Knuth), the
-//!   expensive baseline the paper's empirical section compares against.
+//!   expensive baseline the paper's empirical section compares against,
+//!   and the test oracle for LR(1) conflict counts.
 //! * [`merge_lr1`] — LALR(1) by merging same-core LR(1) states, giving the
 //!   reference LALR look-ahead sets our implementation is validated against.
 //!

@@ -2,9 +2,10 @@
 //!
 //! This is the expensive baseline of the paper's evaluation: it computes
 //! exact LR(1) look-aheads by splitting states, at the cost of a much larger
-//! automaton. `lalr-core` uses it two ways: merged by core it yields the
-//! reference LALR(1) look-ahead sets (see [`crate::merge_lr1`]), and its
-//! conflict-freedom defines the LR(1) grammar class.
+//! automaton. It is an oracle only: merged by core it yields the reference
+//! LALR(1) look-ahead sets (see [`crate::merge_lr1`]) and the LR(1)-merge
+//! timing baseline, and tests count its conflicts to check the LR(1)
+//! class that `lalr-core`'s classification computes without building it.
 
 use rustc_hash::FxHashMap;
 

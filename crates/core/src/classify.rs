@@ -1,11 +1,12 @@
 //! Grammar-class classification (the adequacy hierarchy of Table 3).
 
-use lalr_automata::{Lr0Automaton, Lr1Automaton};
+use lalr_automata::Lr0Automaton;
 use lalr_grammar::Grammar;
 
 use crate::conflicts::find_conflicts;
 use crate::engine::LalrAnalysis;
 use crate::lookahead::LookaheadSets;
+use crate::lr1walk::lr1_conflicts;
 use crate::nqlalr::NqlalrAnalysis;
 use crate::slr::slr_lookaheads;
 
@@ -50,7 +51,8 @@ pub struct MethodAdequacy {
     pub nqlalr_conflicts: usize,
     /// Conflicts under true LALR(1) look-aheads.
     pub lalr_conflicts: usize,
-    /// Conflicts in the canonical LR(1) machine.
+    /// Conflicts in the canonical LR(1) machine (counted without building
+    /// it).
     pub lr1_conflicts: usize,
     /// `reads`-cycle detected (grammar not LR(k) for any k).
     pub not_lr_k: bool,
@@ -72,33 +74,13 @@ fn lr0_lookaheads(grammar: &Grammar, lr0: &Lr0Automaton) -> LookaheadSets {
     las
 }
 
-/// Conflicts of the canonical LR(1) machine itself.
-fn lr1_conflicts(grammar: &Grammar, lr1: &Lr1Automaton) -> usize {
-    let _ = grammar;
-    let mut count = 0;
-    for state in lr1.states() {
-        let shifts: Vec<usize> = lr1
-            .transitions(state)
-            .iter()
-            .filter_map(|&(s, _)| s.terminal().map(|t| t.index()))
-            .collect();
-        let reds = lr1.reductions(state);
-        for (_, la) in reds {
-            count += shifts.iter().filter(|&&t| la.contains(t)).count();
-        }
-        for (i, (_, la1)) in reds.iter().enumerate() {
-            for (_, la2) in &reds[i + 1..] {
-                count += (la1 & la2).count();
-            }
-        }
-    }
-    count
-}
-
 /// Classifies a grammar by running all five methods.
 ///
-/// This is deliberately the expensive, exhaustive procedure (it builds the
-/// canonical LR(1) machine); Table 3 calls it once per corpus grammar.
+/// The LR(1) count never builds the canonical LR(1) machine. With no
+/// LALR(1) conflicts it is 0 by theorem; otherwise an exact walk over the
+/// LR(0) cores visits only the canonical states whose cores reach an
+/// LALR conflict, and counts their conflicts as the canonical machine
+/// would.
 ///
 /// # Examples
 ///
@@ -120,7 +102,7 @@ pub fn classify(grammar: &Grammar) -> MethodAdequacy {
 
 /// Classifies from a prebuilt LR(0) automaton and DeRemer–Pennello
 /// analysis, running only the remaining four methods (LR(0)/SLR/NQLALR
-/// baselines and the canonical-LR(1) build). This is what `lalr-service`
+/// baselines and the pruned LR(1) conflict walk). This is what `lalr-service`
 /// uses so a cached compile never recomputes the automaton or the
 /// look-ahead sets; the counts equal [`classify`]'s.
 ///
@@ -138,18 +120,16 @@ pub fn classify_from(
 
 /// Recorded analogue of [`classify_from`]: each of the five methods runs
 /// inside its own span (`classify.lr0`, `classify.slr`,
-/// `classify.nqlalr`, `classify.lr1`, `classify.lalr`).
+/// `classify.nqlalr`, `classify.lalr`, `classify.lr1`). The LR(1) walk
+/// also counts the canonical LR(1) states it visits
+/// (`classify.lr1_states`) and the LR(0) cores it closes
+/// (`classify.lr1_cores`); both are 0 when there are no LALR conflicts.
 pub fn classify_recorded(
     grammar: &Grammar,
     lr0: &Lr0Automaton,
     analysis: &LalrAnalysis,
     rec: &dyn lalr_obs::Recorder,
 ) -> MethodAdequacy {
-    let lr1_c = {
-        let _span = lalr_obs::span(rec, "classify.lr1");
-        let lr1 = Lr1Automaton::build(grammar);
-        lr1_conflicts(grammar, &lr1)
-    };
     let lr0_c = {
         let _span = lalr_obs::span(rec, "classify.lr0");
         find_conflicts(grammar, lr0, &lr0_lookaheads(grammar, lr0)).len()
@@ -167,9 +147,19 @@ pub fn classify_recorded(
         )
         .len()
     };
-    let lalr_c = {
+    let lalr = {
         let _span = lalr_obs::span(rec, "classify.lalr");
-        analysis.conflicts(grammar, lr0).len()
+        analysis.conflicts(grammar, lr0)
+    };
+    let lalr_c = lalr.len();
+    let lr1_c = {
+        let _span = lalr_obs::span(rec, "classify.lr1");
+        let walk = lr1_conflicts(grammar, lr0, &lalr);
+        if rec.is_enabled() {
+            rec.add("classify.lr1_states", walk.states as u64);
+            rec.add("classify.lr1_cores", walk.cores as u64);
+        }
+        walk.conflicts
     };
 
     let class = if lr0_c == 0 {

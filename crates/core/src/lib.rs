@@ -46,6 +46,7 @@ mod conflicts;
 mod engine;
 mod explain;
 mod lookahead;
+mod lr1walk;
 mod nqlalr;
 mod parallel;
 mod propagation;
